@@ -5,7 +5,8 @@ Subpackages by task: `model` (kinetics and equilibrium branches),
 `profiles1d` (fronts and the traveling wave), `quench2d` (comoving 2D
 solver), `farfield` (glued ansatz and bordered angle solve), `measure`
 (nodal-line extraction), `melnikov` (selection integrals), `spectral`
-(linearization checks), `cli` (experiment runner).
+(linearization checks), `textio` (`key = value` files), `cli` (experiment
+runner).
 """
 
 from .model import EquilibriumBranches, ModelParams

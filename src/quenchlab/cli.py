@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -19,11 +20,12 @@ from . import farfield, melnikov, spectral
 from .errors import ConfigError, MissingBaseline, QuenchLabError
 from .measure import (ContactRecorder, fit_contact_angle, measure_drift,
                       zero_level_set)
-from .model import ModelParams
+from .model import ModelParams, stable_zeros
 from .profiles1d import (Grid1D, cy_from_angle, export_profile,
                          solve_quench_front, solve_traveling_wave)
 from .quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
                        run_to_steady, solve_theta, write_field)
+from .textio import write_entries
 
 MODES = ("profile", "theta", "simulate", "melnikov", "sweep", "spectrum",
          "bordered", "compare")
@@ -53,7 +55,6 @@ class ExperimentConfig:
     solver_dt: float = 0.25
     solver_tol: float = 1e-8
     solver_max_steps: int = 20000
-    solver_threads: int = 1
     # sweep
     sweep_alphas: tuple = ()
     # bordered solve
@@ -92,55 +93,25 @@ class ExperimentConfig:
         return out
 
 
-#: maps config-file keys "section.key" to ExperimentConfig attributes
-_KEYMAP = {
-    "mode": "mode",
-    "model.c_x": "c_x",
-    "model.c_y": "c_y",
-    "model.alpha": "alpha",
-    "model.g_left": "g_left",
-    "model.g_right": "g_right",
-    "grid1d.half_width": "grid1d_half_width",
-    "grid1d.h": "grid1d_h",
-    "grid2d.half_width_x": "grid2d_half_width_x",
-    "grid2d.half_width_y": "grid2d_half_width_y",
-    "grid2d.h": "grid2d_h",
-    "solver.dt": "solver_dt",
-    "solver.tol": "solver_tol",
-    "solver.max_steps": "solver_max_steps",
-    "solver.threads": "solver_threads",
-    "sweep.alphas": "sweep_alphas",
-    "bordered.half_width": "bordered_half_width",
-    "bordered.h": "bordered_h",
-    "bordered.R": "bordered_R",
-    "bordered.eta": "bordered_eta",
-    "bordered.ridge": "bordered_ridge",
-    "measure.window_lo": "measure_window_lo",
-    "measure.window_hi": "measure_window_hi",
-    "measure.round_steps": "measure_round_steps",
-    "measure.max_rounds": "measure_max_rounds",
-    "measure.drift_tol": "measure_drift_tol",
-    "measure.steady_tol": "measure_steady_tol",
-    "compare.table": "compare_table",
-    "output.dir": "output_dir",
-}
+_MODEL_FIELDS = {f.name for f in dc_fields(ModelParams)}
+
+#: maps config-file keys "section.key" to ExperimentConfig attributes: model
+#: parameters are "model.<name>", other attributes split at their first "_"
+_KEYMAP = {(f"model.{f.name}" if f.name in _MODEL_FIELDS
+            else f.name.replace("_", ".", 1)): f.name
+           for f in dc_fields(ExperimentConfig)}
 
 _ATTR_TO_KEY = {v: k for k, v in _KEYMAP.items()}
 
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
 
 def _parse_value(attr: str, raw: str):
-    kind = ExperimentConfig.__dataclass_fields__[attr].type
+    kind = _FIELD_TYPES[attr]
     raw = raw.strip()
-    if attr in ("g_left", "g_right", "sweep_alphas"):
-        if not raw:
-            return ()
-        return tuple(float(tok) for tok in raw.split(","))
-    if attr in ("mode", "output_dir", "compare_table"):
-        return raw
-    if attr in ("solver_max_steps", "solver_threads", "measure_round_steps",
-                "measure_max_rounds"):
-        return int(raw)
-    return float(raw)
+    if kind is tuple:
+        return tuple(float(tok) for tok in raw.split(",")) if raw else ()
+    return kind(raw)
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str):
@@ -177,8 +148,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("model.c_x must be >= 0")
     if cfg.solver_dt <= 0 or cfg.solver_tol <= 0:
         raise ConfigError("solver.dt and solver.tol must be positive")
-    if cfg.solver_threads < 1:
-        raise ConfigError("solver.threads must be >= 1")
     if len(cfg.g_left) > 4 or len(cfg.g_right) > 4:
         raise ConfigError("perturbation polynomials must have degree <= 3")
 
@@ -195,22 +164,34 @@ def write_manifest(cfg: ExperimentConfig, path: str, timings: dict):
     """Config echo plus versions and timings; re-parses as a config."""
     import scipy
 
-    lines = ["# quenchlab run manifest",
-             f"# versions: quenchlab=0.1.0 numpy={np.__version__} scipy={scipy.__version__}"]
-    for f in dc_fields(ExperimentConfig):
-        lines.append(f"{_ATTR_TO_KEY[f.name]} = {_fmt(getattr(cfg, f.name))}")
-    for name, seconds in timings.items():
-        lines.append(f"# timing.{name}_s = {seconds:.3f}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# quenchlab run manifest\n# versions: quenchlab=0.1.0 "
+                 f"numpy={np.__version__} scipy={scipy.__version__}\n")
+    entries = {_ATTR_TO_KEY[f.name]: _fmt(getattr(cfg, f.name))
+               for f in dc_fields(ExperimentConfig)}
+    entries.update((f"# timing.{name}_s", f"{seconds:.3f}")
+                   for name, seconds in timings.items())
+    write_entries(path, entries, mode="a")
 
 
 # ---------------------------------------------------------------------------
 # steady-angle measurement (time marching with drift-corrected frame)
 # ---------------------------------------------------------------------------
 
+def _step_initial_data(p: ModelParams, cfg: ExperimentConfig) -> Field2D:
+    """Step data on the 2D grid: z_+ above and z_- below y = 0 left of the
+    quenching line, z_0 right of it."""
+    branches = stable_zeros(p.alpha, p)
+    template = Field2D.on_rectangle(cfg.grid2d_half_width_x,
+                                    cfg.grid2d_half_width_y, cfg.grid2d_h)
+    return template.copy_with(
+        np.where(template.x[None, :] < 0,
+                 np.where(template.y[:, None] > 0, branches.z_plus, branches.z_minus),
+                 branches.z_zero))
+
+
 def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
-                         psi_seed: float = 0.0, verbose: bool = False) -> dict:
+                         psi_seed: float = 0.0) -> dict:
     """Measure the selected interface angle by comoving time marching.
 
     Seeds the vertical frame speed from the geometric speed relation at a
@@ -219,17 +200,8 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
     point is stationary; the angle is fitted on the final field's nodal
     line in the left farfield.
     """
-    from .model import stable_zeros
-
-    branches = stable_zeros(p.alpha, p)
-    grid1 = cfg.grid1d()
-    c_y = cy_from_angle(p.alpha, psi_seed, p, grid1)
-    template = Field2D.on_rectangle(cfg.grid2d_half_width_x,
-                                    cfg.grid2d_half_width_y, cfg.grid2d_h)
-    u = template.copy_with(
-        np.where(template.x[None, :] < 0,
-                 np.where(template.y[:, None] > 0, branches.z_plus, branches.z_minus),
-                 branches.z_zero))
+    u = _step_initial_data(p, cfg)
+    c_y = cy_from_angle(p.alpha, psi_seed, p, cfg.grid1d())
     drift = np.nan
     rate = np.nan
     track_steps = int(np.ceil(12.0 / cfg.solver_dt))
@@ -247,9 +219,6 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
         u = res.field
         rate = res.final_update_rate
         drift = measure_drift(rec.track())
-        if verbose:
-            print(f"  round {rnd}: c_y={c_y:+.6f} rate={rate:.2e} "
-                  f"drift={drift:+.6f}")
         if abs(drift) < cfg.measure_drift_tol and rnd > 0:
             break
         c_y += drift
@@ -285,8 +254,8 @@ def _run_profile(cfg: ExperimentConfig, out: str, log) -> None:
         log(f"front_{side}: residual {prof.residual_norm:.2e}")
     wave = solve_traveling_wave(p, grid)
     export_profile(wave.profile, os.path.join(out, "wave"), p)
-    with open(os.path.join(out, "wave.meta"), "a") as fh:
-        fh.write(f"speed = {wave.speed:.17g}\n")
+    write_entries(os.path.join(out, "wave.meta"),
+                  {"speed": f"{wave.speed:.17g}"}, mode="a")
     log(f"wave: c_n = {wave.speed:.8f}")
 
 
@@ -301,16 +270,8 @@ def _run_theta(cfg: ExperimentConfig, out: str, log) -> None:
 
 
 def _run_simulate(cfg: ExperimentConfig, out: str, log) -> None:
-    from .model import stable_zeros
-
     p = cfg.model_params()
-    branches = stable_zeros(p.alpha, p)
-    template = Field2D.on_rectangle(cfg.grid2d_half_width_x,
-                                    cfg.grid2d_half_width_y, cfg.grid2d_h)
-    u0 = template.copy_with(
-        np.where(template.x[None, :] < 0,
-                 np.where(template.y[:, None] > 0, branches.z_plus, branches.z_minus),
-                 branches.z_zero))
+    u0 = _step_initial_data(p, cfg)
     rec = ContactRecorder(u0)
     res = run_to_steady(u0, p, cfg.solver_dt, tol=cfg.solver_tol,
                         max_steps=cfg.solver_max_steps, recorder=rec)
@@ -357,10 +318,10 @@ def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:
     prof = solve_quench_front("top", p, grid)
     op = spectral.quench_front_operator(prof, cfg.c_x)
     top_eig = spectral.max_real_eig_1d(op)
-    spectral.append_report(os.path.join(out, "spectrum_report.txt"), {
+    write_entries(os.path.join(out, "spectrum_report.txt"), {
         "c_x": f"{cfg.c_x:.17g}",
         "max_real_eig_front": f"{top_eig:.17g}",
-    })
+    }, mode="a")
     log(f"spectrum: max real eigenvalue {top_eig:.6f}")
 
 
@@ -408,10 +369,8 @@ def compare_prediction(table_path: str) -> dict:
 def _run_compare(cfg: ExperimentConfig, out: str, log) -> None:
     table = cfg.compare_table or os.path.join(out, "sweep.csv")
     summary = compare_prediction(table)
-    path = os.path.join(out, "compare_report.txt")
-    with open(path, "w") as fh:
-        for key, val in summary.items():
-            fh.write(f"{key} = {val:.17g}\n")
+    write_entries(os.path.join(out, "compare_report.txt"),
+                  {key: f"{val:.17g}" for key, val in summary.items()})
     log(f"compare: measured {summary['slope_measured']:.5f} vs predicted "
         f"{summary['slope_predicted']:.5f} "
         f"({100 * summary['relative_deviation']:+.2f}%)")

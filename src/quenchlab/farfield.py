@@ -18,9 +18,11 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from .errors import IllConditioned, NotConverged
-from .model import ModelParams, poly_derivative, poly_eval
-from .profiles1d import (Grid1D, Profile1D, WaveSolution, _interface_correction,
-                         solve_quench_front, solve_traveling_wave)
+from .model import (ModelParams, interface_correction, origin_index,
+                    poly_derivative, poly_eval, side_average)
+from .profiles1d import (Grid1D, Profile1D, WaveSolution, solve_quench_front,
+                         solve_traveling_wave)
+from .textio import write_entries
 from .quench2d import Field2D, solve_theta
 
 
@@ -306,19 +308,17 @@ def _sheared_residual_interior(v: np.ndarray, psi: float, p: ModelParams,
     vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
     vi = v[1:-1, 1:-1]
     xi = x[1:-1]
-    mu_bar = np.where(xi < 0, 1.0, -1.0)
-    i0_full = int(round(-x[0] / hx))
-    j0 = i0_full - 1  # interior column index of x = 0
-    mu_bar[j0] = 0.0
+    mu_bar = side_average(xi, 1.0, -1.0)
     a = p.alpha
-    g = np.where(xi[None, :] < 0, poly_eval(p.g_left, vi), poly_eval(p.g_right, vi))
-    g[:, j0] = 0.5 * (poly_eval(p.g_left, vi[:, j0]) + poly_eval(p.g_right, vi[:, j0]))
+    g = side_average(xi, poly_eval(p.g_left, vi), poly_eval(p.g_right, vi))
     Sx = shear_profile_d1(xi)[None, :]
     Sxx = shear_profile_d2(xi)[None, :]
     r = (vxx + vyy + p.c_x * vx + c_y * vy + mu_bar[None, :] * vi
          - vi**3 + a * g
          + t * (2.0 * Sx * vxy + t * Sx**2 * vyy + (p.c_x * Sx + Sxx) * vy))
-    r[:, j0] -= _interface_correction(vi[:, j0], vx[:, j0], p, hx)
+    j0 = origin_index(xi)
+    if j0 is not None:
+        r[:, j0] -= interface_correction(vi[:, j0], vx[:, j0], p, hx, p.c_x)
     return r
 
 
@@ -376,14 +376,9 @@ def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
     t = np.tan(psi)
     Sx = sp.diags(np.tile(shear_profile_d1(xi), nyi))
     Sxx = sp.diags(np.tile(shear_profile_d2(xi), nyi))
-    mu_bar = np.where(xi < 0, 1.0, -1.0)
-    j0 = int(round(-x[0] / hx)) - 1
-    mu_bar[j0] = 0.0
-    a = p.alpha
-    glp, grp = poly_derivative(p.g_left), poly_derivative(p.g_right)
-    gp = np.where(xi[None, :] < 0, poly_eval(glp, vi), poly_eval(grp, vi))
-    gp[:, j0] = 0.5 * (poly_eval(glp, vi[:, j0]) + poly_eval(grp, vi[:, j0]))
-    q = mu_bar[None, :] - 3.0 * vi**2 + a * gp
+    gp = side_average(xi, poly_eval(poly_derivative(p.g_left), vi),
+                      poly_eval(poly_derivative(p.g_right), vi))
+    q = side_average(xi, 1.0, -1.0)[None, :] - 3.0 * vi**2 + p.alpha * gp
     A = (sp.kron(Iy, Dxx + p.c_x * Dx) + sp.kron(Dyy + c_y * Dy, Ix)
          + t * (2.0 * Sx @ sp.kron(Dy, Dx) + t * Sx @ Sx @ sp.kron(Dyy, Ix)
                 + (p.c_x * Sx + Sxx) @ sp.kron(Dy, Ix))
@@ -485,9 +480,9 @@ def save_correction(cc: CoreCorrection, base_path: str):
     """Persist the core correction: grid binary plus key=value metadata."""
     from .quench2d import write_field
     write_field(cc.w, base_path + ".qnch")
-    with open(base_path + ".meta", "w") as fh:
-        fh.write(f"psi = {cc.psi:.17g}\n")
-        fh.write(f"alpha = {cc.alpha:.17g}\n")
-        fh.write(f"eta = {cc.weight_rate:.17g}\n")
-        fh.write(f"weighted_residual = {cc.weighted_residual:.6e}\n")
-        fh.write(f"iterations = {cc.iterations}\n")
+    write_entries(base_path + ".meta", {
+        "psi": f"{cc.psi:.17g}",
+        "alpha": f"{cc.alpha:.17g}",
+        "eta": f"{cc.weight_rate:.17g}",
+        "weighted_residual": f"{cc.weighted_residual:.6e}",
+        "iterations": cc.iterations})

@@ -149,14 +149,3 @@ class ContactRecorder:
         return ContactTrack(times=np.array(self.times),
                             y_contact=np.array(self.heights))
 
-
-def append_measurement(path: str, alpha: float, c_x: float,
-                       m: AngleMeasurement, drift: float):
-    """Append one row to the measurements CSV, writing the header if new."""
-    import os
-    new = not os.path.exists(path)
-    with open(path, "a") as fh:
-        if new:
-            fh.write("alpha,c_x,psi,phi,rms,drift\n")
-        fh.write(f"{alpha:.17g},{c_x:.17g},{m.psi:.17g},{m.phi:.17g},"
-                 f"{m.rms_fit_error:.17g},{drift:.17g}\n")

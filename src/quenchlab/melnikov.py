@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMpsi, NonFinite
-from .model import ModelParams, potential_G
+from .model import ModelParams, potential_G, side_average
 from .profiles1d import Profile1D, cn_prime_quadrature
 from .quench2d import Field2D
+from .textio import write_entries
 
 #: the weighted integrand must have decayed by this factor at the domain edge
 _EDGE_DECAY = 1e-6
@@ -34,7 +35,8 @@ class MelnikovReport:
     contact_line_term: float = 0.0
 
 
-def _dy_centered(data: np.ndarray, hy: float) -> np.ndarray:
+def dy_centered(data: np.ndarray, hy: float) -> np.ndarray:
+    """d/dy along axis 0: centered inside, one-sided on the boundary rows."""
     out = np.zeros_like(data)
     out[1:-1, :] = (data[2:, :] - data[:-2, :]) / (2.0 * hy)
     out[0, :] = (data[1, :] - data[0, :]) / hy
@@ -55,7 +57,7 @@ def m_psi(theta: Field2D, c_x: float) -> float:
 
 def m_psi_detail(theta: Field2D, c_x: float):
     """m_psi plus a truncation estimate from the half-domain comparison."""
-    thy = _dy_centered(theta.data, theta.hy)
+    thy = dy_centered(theta.data, theta.hy)
     w = thy**2 * np.exp(c_x * theta.x)[None, :]
     if not np.isfinite(w).all():
         raise NonFinite("weighted integrand is not finite")
@@ -91,13 +93,9 @@ def contact_line_integral(u_top: Profile1D, u_bottom: Profile1D,
     x = u_top.grid.nodes()
     h = u_top.grid.h
     i0 = u_top.grid.index_of_origin()
-    gt = potential_G(x, u_top.values, p)
-    gb = potential_G(x, u_bottom.values, p)
-    # the potential jump at the origin node is sampled by its side-average
-    gt[i0] = 0.5 * (potential_G(-1.0, u_top.values[i0], p)
-                    + potential_G(1.0, u_top.values[i0], p))
-    gb[i0] = 0.5 * (potential_G(-1.0, u_bottom.values[i0], p)
-                    + potential_G(1.0, u_bottom.values[i0], p))
+    gt, gb = (side_average(x, potential_G(-1.0, u.values, p),
+                           potential_G(1.0, u.values, p))
+              for u in (u_top, u_bottom))
     f = np.exp(p.c_x * x) * (gt - gb)
     if not np.isfinite(f).all():
         raise NonFinite("contact-line integrand is not finite")
@@ -148,8 +146,10 @@ def build_report(theta: Field2D, u_top: Profile1D, u_bottom: Profile1D,
     """Compute all selection integrals for one parameter set."""
     mp, mp_err = m_psi_detail(theta, p.c_x)
     cnp = cn_prime_quadrature(p.g_left)
-    contact, contact_err = contact_line_integral(u_top, u_bottom, p)
-    ma = -cnp * mp / p.c_x - contact
+    _, contact_err = contact_line_integral(u_top, u_bottom, p)
+    # without transport m_psi vanishes, and dphi_dalpha rejects it as
+    # degenerate before the undefined m_alpha could matter
+    ma = m_alpha(u_top, u_bottom, p, mp, cnp) if p.c_x > 0 else np.nan
     return dphi_dalpha(mp, ma, cnp, p.c_x,
                        quadrature_error={"m_psi": mp_err,
                                          "contact_line": contact_err,
@@ -158,13 +158,9 @@ def build_report(theta: Field2D, u_top: Profile1D, u_bottom: Profile1D,
 
 def write_report(report: MelnikovReport, path: str):
     """Serialize the report as key = value text."""
-    with open(path, "w") as fh:
-        fh.write(f"c_x = {report.c_x:.17g}\n")
-        fh.write(f"m_psi = {report.m_psi:.17g}\n")
-        fh.write(f"m_alpha = {report.m_alpha:.17g}\n")
-        fh.write(f"cn_prime = {report.cn_prime:.17g}\n")
-        fh.write(f"dphi_dalpha = {report.dphi_dalpha:.17g}\n")
-        fh.write(f"geometric_term = {report.geometric_term:.17g}\n")
-        fh.write(f"contact_line_term = {report.contact_line_term:.17g}\n")
-        for key, val in sorted(report.quadrature_error.items()):
-            fh.write(f"error.{key} = {val:.6e}\n")
+    entries = {name: f"{getattr(report, name):.17g}"
+               for name in ("c_x", "m_psi", "m_alpha", "cn_prime", "dphi_dalpha",
+                            "geometric_term", "contact_line_term")}
+    entries.update((f"error.{key}", f"{val:.6e}")
+                   for key, val in sorted(report.quadrature_error.items()))
+    write_entries(path, entries)

@@ -19,6 +19,9 @@ FOLD_SEPARATION = 0.1
 
 _ZERO_TOL = 1e-12
 
+#: a grid coordinate this close to 0 is the node on the quenching line
+_NODE_TOL = 1e-9
+
 
 def poly_eval(coef, u):
     """Evaluate a polynomial with ascending coefficients at u (Horner)."""
@@ -108,6 +111,62 @@ def potential_G(x, u, p: ModelParams):
     Gr = -poly_eval(poly_antiderivative(p.g_right), u)
     out = np.where(x < 0, Gl, Gr)
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# the jump at x = 0 on grids: one discretization shared by every solver
+# ---------------------------------------------------------------------------
+
+def origin_index(x):
+    """Index of the grid node at x = 0 in the coordinates x, or None."""
+    x = np.asarray(x, dtype=float)
+    i = int(np.abs(x).argmin())
+    return i if abs(x[i]) <= _NODE_TOL else None
+
+
+def side_average(x, left, right):
+    """Sample a quantity that jumps at x = 0 on the grid nodes x.
+
+    left and right are its one-sided values (scalars, or arrays whose last
+    axis runs along x).  Nodes off x = 0 take their own side's value; the
+    x = 0 node, if the grid has one, takes the mean of the two sides.
+    """
+    out = np.where(np.asarray(x) < 0, left, right)
+    i0 = origin_index(x)
+    if i0 is not None:
+        out[..., i0] = 0.5 * (np.broadcast_to(left, out.shape)[..., i0]
+                              + np.broadcast_to(right, out.shape)[..., i0])
+    return out
+
+
+def interface_correction(u0, ux, p: ModelParams, h, c_x):
+    """O(h) consistency correction at the x = 0 node, to subtract there.
+
+    The reaction jump makes u_xx and u_xxx discontinuous there; centered
+    stencils applied across the jump pick up h*(jump(u_xxx)/6 + c_x*jump(u_xx)/4),
+    which this term removes so the scheme stays second order.  p supplies
+    alpha and g; c_x is explicit so the adjoint can pass -c_x.
+    """
+    a = p.alpha
+    dg = poly_eval(p.g_right, u0) - poly_eval(p.g_left, u0)
+    dgp = (poly_eval(poly_derivative(p.g_right), u0)
+           - poly_eval(poly_derivative(p.g_left), u0))
+    jump_uxx = 2.0 * u0 - a * dg
+    jump_uxxx = -c_x * jump_uxx + 2.0 * ux - a * dgp * ux
+    return h * (jump_uxxx / 6.0 + c_x * jump_uxx / 4.0)
+
+
+def interface_correction_jac(u0, ux, p: ModelParams, h, c_x):
+    """d(correction)/d(u0), and the prefactor of d/d(ux)."""
+    a = p.alpha
+    dgp = (poly_eval(poly_derivative(p.g_right), u0)
+           - poly_eval(poly_derivative(p.g_left), u0))
+    dgpp = (poly_eval(poly_derivative(poly_derivative(p.g_right)), u0)
+            - poly_eval(poly_derivative(poly_derivative(p.g_left)), u0))
+    d_jump_uxx = 2.0 - a * dgp
+    d_du0 = h * ((-c_x * d_jump_uxx - a * dgpp * ux) / 6.0 + c_x * d_jump_uxx / 4.0)
+    d_dux = h * (2.0 - a * dgp) / 6.0
+    return d_du0, d_dux
 
 
 def _newton_scalar(f, fp, x0, tol=_ZERO_TOL, max_iter=80):

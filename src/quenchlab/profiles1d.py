@@ -14,7 +14,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
-from .model import (ModelParams, poly_derivative, poly_eval, stable_zeros)
+from .model import (ModelParams, interface_correction, interface_correction_jac,
+                    poly_derivative, poly_eval, side_average, stable_zeros)
+from .textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
 
@@ -117,35 +119,6 @@ def _tridiag_solve(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _interface_correction(u0, ux, p: ModelParams, h):
-    """O(h) consistency correction at the x = 0 node.
-
-    The reaction jump makes u_xx and u_xxx discontinuous there; centered
-    stencils applied across the jump pick up h*(jump(u_xxx)/6 + c_x*jump(u_xx)/4),
-    which this term removes so the scheme stays second order.
-    """
-    a = p.alpha
-    dg = poly_eval(p.g_right, u0) - poly_eval(p.g_left, u0)
-    dgp = (poly_eval(poly_derivative(p.g_right), u0)
-           - poly_eval(poly_derivative(p.g_left), u0))
-    jump_uxx = 2.0 * u0 - a * dg
-    jump_uxxx = -p.c_x * jump_uxx + 2.0 * ux - a * dgp * ux
-    return h * (jump_uxxx / 6.0 + p.c_x * jump_uxx / 4.0)
-
-
-def _interface_correction_jac(u0, ux, p: ModelParams, h):
-    """d(correction)/d(u0), and the prefactor of d/d(ux)."""
-    a = p.alpha
-    dgp = (poly_eval(poly_derivative(p.g_right), u0)
-           - poly_eval(poly_derivative(p.g_left), u0))
-    dgpp = (poly_eval(poly_derivative(poly_derivative(p.g_right)), u0)
-            - poly_eval(poly_derivative(poly_derivative(p.g_left)), u0))
-    d_jump_uxx = 2.0 - a * dgp
-    d_du0 = h * ((-p.c_x * d_jump_uxx - a * dgpp * ux) / 6.0 + p.c_x * d_jump_uxx / 4.0)
-    d_dux = h * (2.0 - a * dgp) / 6.0
-    return d_du0, d_dux
-
-
 def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
                        tol: float = 1e-10, max_iter: int = 50) -> Profile1D:
     """Front across the quenching jump: u'' + c_x u' + mu(x) u - u^3 + a g = 0.
@@ -164,38 +137,27 @@ def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
     right_val = branches.z_zero
     a = p.alpha
 
-    mu_bar = np.where(x < 0, 1.0, -1.0)
-    mu_bar[i0] = 0.0  # side-average at the jump node
-
+    mu_bar = side_average(x, 1.0, -1.0)
     gl, gr = p.g_left, p.g_right
     glp, grp = poly_derivative(gl), poly_derivative(gr)
-
-    def g_bar(u):
-        g = np.where(x < 0, poly_eval(gl, u), poly_eval(gr, u))
-        g[i0] = 0.5 * (poly_eval(gl, u[i0]) + poly_eval(gr, u[i0]))
-        return g
-
-    def g_bar_prime(u):
-        g = np.where(x < 0, poly_eval(glp, u), poly_eval(grp, u))
-        g[i0] = 0.5 * (poly_eval(glp, u[i0]) + poly_eval(grp, u[i0]))
-        return g
 
     def residual(u):
         r = np.zeros_like(u)
         r[1:-1] = ((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
                    + p.c_x * (u[2:] - u[:-2]) / (2.0 * h)
                    + mu_bar[1:-1] * u[1:-1] - u[1:-1]**3
-                   + a * g_bar(u)[1:-1])
+                   + a * side_average(x, poly_eval(gl, u), poly_eval(gr, u))[1:-1])
         ux = (u[i0 + 1] - u[i0 - 1]) / (2.0 * h)
-        r[i0] -= _interface_correction(u[i0], ux, p, h)
+        r[i0] -= interface_correction(u[i0], ux, p, h, p.c_x)
         return r
 
     def newton_matrix(u):
         lower = np.full(grid.n - 1, 1.0 / h**2 - p.c_x / (2.0 * h))
         upper = np.full(grid.n - 1, 1.0 / h**2 + p.c_x / (2.0 * h))
-        diag = -2.0 / h**2 + mu_bar - 3.0 * u**2 + a * g_bar_prime(u)
+        diag = (-2.0 / h**2 + mu_bar - 3.0 * u**2
+                + a * side_average(x, poly_eval(glp, u), poly_eval(grp, u)))
         ux = (u[i0 + 1] - u[i0 - 1]) / (2.0 * h)
-        d_du0, d_dux = _interface_correction_jac(u[i0], ux, p, h)
+        d_du0, d_dux = interface_correction_jac(u[i0], ux, p, h, p.c_x)
         diag[i0] -= d_du0
         upper[i0] -= d_dux / (2.0 * h)
         lower[i0 - 1] += d_dux / (2.0 * h)
@@ -369,11 +331,10 @@ def export_profile(profile: Profile1D, base_path: str, p: ModelParams | None = N
         fh.write("x,u\n")
         for xi, ui in zip(x, profile.values):
             fh.write(f"{xi:.17g},{ui:.17g}\n")
-    with open(base_path + ".meta", "w") as fh:
-        fh.write(f"kind = {profile.kind}\n")
-        fh.write(f"residual_norm = {profile.residual_norm:.3e}\n")
-        fh.write(f"limit_left = {profile.limit_left:.17g}\n")
-        fh.write(f"limit_right = {profile.limit_right:.17g}\n")
-        if p is not None:
-            fh.write(f"alpha = {p.alpha:.17g}\n")
-            fh.write(f"c_x = {p.c_x:.17g}\n")
+    meta = {"kind": profile.kind,
+            "residual_norm": f"{profile.residual_norm:.3e}",
+            "limit_left": f"{profile.limit_left:.17g}",
+            "limit_right": f"{profile.limit_right:.17g}"}
+    if p is not None:
+        meta.update(alpha=f"{p.alpha:.17g}", c_x=f"{p.c_x:.17g}")
+    write_entries(base_path + ".meta", meta)

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveFailure, NonFinite, NotConverged
-from .model import ModelParams, poly_eval
-from .profiles1d import _interface_correction
+from .model import (ModelParams, interface_correction, origin_index, poly_eval,
+                    side_average)
 
 #: fields must stay inside the bistable range; beyond this we call it blow-up
 AMPLITUDE_CLAMP = 2.0
@@ -132,29 +132,20 @@ class SemiImplicitStepper:
             self._solve = spla.factorized(system)
         except RuntimeError as exc:
             raise LinearSolveFailure(str(exc)) from exc
-        # straddling grids sample the reaction jump by its side-average
-        self.mu_bar = np.where(self.x < 0, 1.0, -1.0)
-        try:
-            self.i0 = template.index_of_x(0.0)
-            self.mu_bar[self.i0] = 0.0
-        except ValueError:
-            self.i0 = None
+        self.mu_bar = side_average(self.x, 1.0, -1.0)
+        self.i0 = origin_index(self.x)
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """Pointwise reaction with jump-consistent sampling at the x = 0 column."""
         p = self.p
         r = self.mu_bar[None, :] * u - u**3
         if p.alpha != 0.0 and (p.g_left or p.g_right):
-            g = np.where(self.x[None, :] < 0,
-                         poly_eval(p.g_left, u), poly_eval(p.g_right, u))
-            if self.i0 is not None:
-                g[:, self.i0] = 0.5 * (poly_eval(p.g_left, u[:, self.i0])
-                                       + poly_eval(p.g_right, u[:, self.i0]))
-            r += p.alpha * g
+            r += p.alpha * side_average(self.x, poly_eval(p.g_left, u),
+                                        poly_eval(p.g_right, u))
         if self.i0 is not None and 0 < self.i0 < self.nx - 1:
             i0 = self.i0
             ux = (u[:, i0 + 1] - u[:, i0 - 1]) / (2.0 * self.hx)
-            r[:, i0] -= _interface_correction(u[:, i0], ux, p, self.hx)
+            r[:, i0] -= interface_correction(u[:, i0], ux, p, self.hx, p.c_x)
         return r
 
     def step(self, u: np.ndarray) -> np.ndarray:
@@ -170,20 +161,6 @@ class SemiImplicitStepper:
         """Discrete steady residual Lap u + c.grad u + reaction(u)."""
         lin = (self.transport @ u.ravel()).reshape(u.shape)
         return lin + (self.reaction(u) if self.include_reaction else 0.0)
-
-
-def step_semi_implicit(u: Field2D, p: ModelParams, dt: float,
-                       include_reaction: bool = True,
-                       stepper: SemiImplicitStepper | None = None) -> Field2D:
-    """Advance one IMEX step.  For repeated stepping build a SemiImplicitStepper
-    once and reuse it; this wrapper factorizes per call otherwise."""
-    if not np.isfinite(u.data).all():
-        raise NonFinite("input field contains non-finite values")
-    if stepper is None:
-        stepper = SemiImplicitStepper(u, p, dt, include_reaction=include_reaction)
-    elif stepper.geometry != (u.nx, u.ny, u.x0, u.y0, u.hx, u.hy):
-        raise ValueError("stepper geometry does not match the field")
-    return u.copy_with(stepper.step(u.data))
 
 
 def run_to_steady(u0: Field2D, p: ModelParams, dt: float, tol: float = 1e-8,

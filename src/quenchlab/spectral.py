@@ -15,8 +15,14 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import EigensolveFailure
+from .melnikov import dy_centered
+from .model import ModelParams, interface_correction, origin_index, side_average
 from .profiles1d import Grid1D, Profile1D
 from .quench2d import Field2D
+
+
+#: the linearizations checked here are taken at alpha = 0
+_UNPERTURBED = ModelParams()
 
 
 @dataclass
@@ -41,9 +47,7 @@ def quench_front_operator(profile: Profile1D, c_x: float) -> LinearOperator1D:
     The bistability switch is sampled by its side-average at the x = 0
     node, matching the front solver's discretization.
     """
-    x = profile.grid.nodes()
-    mu_bar = np.where(x < 0, 1.0, -1.0)
-    mu_bar[profile.grid.index_of_origin()] = 0.0
+    mu_bar = side_average(profile.grid.nodes(), 1.0, -1.0)
     return LinearOperator1D(grid=profile.grid, c_x=c_x,
                             q=mu_bar - 3.0 * profile.values**2)
 
@@ -84,18 +88,11 @@ class KernelCheck:
     h: float
 
 
-def _dy(data, hy):
-    out = np.zeros_like(data)
-    out[1:-1, :] = (data[2:, :] - data[:-2, :]) / (2.0 * hy)
-    return out
-
-
 def _apply_linearized(v, q_bar, c_x, hx, hy, sign, i0=None):
     """(Lap + sign*c_x d_x + q) v on the doubly-interior nodes.
 
-    At the quench column (full-grid index i0) the second x-derivative of a
-    kernel direction jumps by 2v and the third by -sign*2*c_x*v + 2*v_x;
-    the centered stencils' resulting O(h) defect is subtracted so the
+    At the quench column (full-grid index i0) the jump correction of the
+    alpha = 0 equation with frame speed sign*c_x is subtracted, so the
     application stays second-order there.
     """
     vxx = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx**2
@@ -103,11 +100,8 @@ def _apply_linearized(v, q_bar, c_x, hx, hy, sign, i0=None):
     vx = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hx)
     out = vxx + vyy + sign * c_x * vx + q_bar[1:-1, 1:-1] * v[1:-1, 1:-1]
     if i0 is not None and 0 < i0 < v.shape[1] - 1:
-        j0 = i0 - 1
-        vc = v[1:-1, i0]
-        jump_xx = 2.0 * vc
-        jump_xxx = -sign * c_x * jump_xx + 2.0 * vx[:, j0]
-        out[:, j0] -= hx * (jump_xxx / 6.0 + sign * c_x * jump_xx / 4.0)
+        out[:, i0 - 1] -= interface_correction(v[1:-1, i0], vx[:, i0 - 1],
+                                               _UNPERTURBED, hx, sign * c_x)
     return out
 
 
@@ -122,18 +116,13 @@ def kernel_check_2d(theta: Field2D, c_x: float, band: int = 3) -> KernelCheck:
     data = theta.data
     hx, hy = theta.hx, theta.hy
     x = theta.x
-    mu_bar = np.where(x < 0, 1.0, -1.0)
-    try:
-        i0 = theta.index_of_x(0.0)
-        mu_bar[i0] = 0.0
-    except ValueError:
-        i0 = None
-    q_bar = mu_bar[None, :] - 3.0 * data**2
+    q_bar = side_average(x, 1.0, -1.0)[None, :] - 3.0 * data**2
 
-    v = _dy(data, hy)
+    v = dy_centered(data, hy)
     weight = np.exp(c_x * x)[None, :]
     wv = weight * v
 
+    i0 = origin_index(x)
     fwd = _apply_linearized(v, q_bar, c_x, hx, hy, +1.0, i0=i0)
     adj = _apply_linearized(wv, q_bar, c_x, hx, hy, -1.0, i0=i0)
 
@@ -161,22 +150,10 @@ def conjugation_defect(theta: Field2D, c_x: float, test: np.ndarray,
     data = theta.data
     hx, hy = theta.hx, theta.hy
     x = theta.x
-    mu_bar = np.where(x < 0, 1.0, -1.0)
-    try:
-        mu_bar[theta.index_of_x(0.0)] = 0.0
-    except ValueError:
-        pass
-    q_bar = mu_bar[None, :] - 3.0 * data**2
+    q_bar = side_average(x, 1.0, -1.0)[None, :] - 3.0 * data**2
     weight = np.exp(c_x * x)[None, :]
     lhs = _apply_linearized(weight * test, q_bar, c_x, hx, hy, -1.0)
     rhs = weight[:, 1:-1] * _apply_linearized(test, q_bar, c_x, hx, hy, +1.0)
     k = max(band - 1, 1)
     sl = np.s_[k:-k or None, k:-k or None]
     return float(np.abs((lhs - rhs)[sl]).max())
-
-
-def append_report(path: str, entries: dict):
-    """Append key = value lines to a report file."""
-    with open(path, "a") as fh:
-        for key, val in entries.items():
-            fh.write(f"{key} = {val}\n")

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,9 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(str(cfg_file))
     with pytest.raises(ConfigError):
         apply_setting(ExperimentConfig(), "nonsense.key", "1")
+    # solver.threads was never used and is gone; old manifests name it
+    with pytest.raises(ConfigError, match="solver.threads"):
+        apply_setting(ExperimentConfig(), "solver.threads", "1")
 
 
 def test_parse_config_with_comments(tmp_path):
@@ -190,3 +196,38 @@ def test_manifest_contains_config_and_versions(tmp_path):
     assert "# versions:" in text
     assert "mode = sweep" in text
     assert "# timing.total_s" in text
+
+
+def test_manifest_roundtrips_every_key(tmp_path):
+    # every key set away from its default must come back from the manifest
+    changed = {"mode": "bordered", "output_dir": str(tmp_path / "run"),
+               "compare_table": "table.csv"}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in changed:
+            continue
+        if f.type == "tuple":
+            changed[f.name] = (0.25, -1.5)
+        elif f.type == "int":
+            changed[f.name] = f.default + 1
+        else:
+            changed[f.name] = f.default + 0.5
+    cfg = ExperimentConfig(**changed)
+    path = tmp_path / "manifest.txt"
+    write_manifest(cfg, str(path), {"total": 1.0})
+    assert parse_config(str(path)) == cfg
+    lines = path.read_text().splitlines()
+    for line in ("model.g_left = 0.25,-1.5", "bordered.R = 12.5",
+                 f"output.dir = {tmp_path / 'run'}", "mode = bordered"):
+        assert line in lines
+
+
+def test_melnikov_without_transport_fails_typed(tmp_path, capsys):
+    # c_x = 0: m_psi vanishes, so no prediction exists; a typed error, no
+    # division warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["melnikov", "--out", str(tmp_path), "--set", "model.c_x=0",
+                   "--set", "grid2d.half_width_x=15",
+                   "--set", "grid2d.half_width_y=15"])
+    assert rc == 1
+    assert "quenchlab: error: m_psi" in capsys.readouterr().err

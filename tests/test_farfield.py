@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from quenchlab.farfield import (PartitionSpec,
-                                ShearSpec, ansatz_sheared, build_profiles,
+                                ShearSpec, _sheared_residual_interior,
+                                ansatz_sheared, build_profiles,
                                 farfield_ansatz, partition_derivative_bound,
                                 partition_of_unity, residual_F, save_correction,
                                 shear_inverse, shear_map, solve_bordered)
 from quenchlab.model import ModelParams
 from quenchlab.profiles1d import Grid1D
-from quenchlab.quench2d import Field2D, read_field, solve_theta
+from quenchlab.quench2d import (Field2D, SemiImplicitStepper, read_field,
+                                solve_theta)
 
 SPEC = PartitionSpec(R=12.0)
 
@@ -166,6 +168,22 @@ def test_residual_overlap_decreases_with_core_radius():
         sups.append(np.max(np.abs(r.data[ann])))
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-6
+
+
+P_FORCED = ModelParams(c_x=0.5, alpha=0.3, g_left=(0.2, 0.5, -0.3),
+                       g_right=(1.0, 0.4, 0.3, 0.2))
+
+
+def test_sheared_residual_matches_stepper_at_zero_shear(rng):
+    # psi = 0 removes the shear terms: what is left is the comoving equation
+    # of the time stepper, with the same sampling of the jump at x = 0
+    f = Field2D.on_rectangle(4.0, 3.0, 0.25)
+    v = rng.uniform(-1.0, 1.0, f.data.shape)
+    c_y = 0.17
+    got = _sheared_residual_interior(v, 0.0, P_FORCED, f.x, f.hx, f.hy, c_y)
+    stepper = SemiImplicitStepper(f, P_FORCED.replace(c_y=c_y), dt=1.0)
+    want = stepper.elliptic_residual(v)[1:-1, 1:-1]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from quenchlab.errors import NoConvergence
-from quenchlab.model import (ModelParams, mu,
+from quenchlab.model import (ModelParams, mu, origin_index,
                              poly_antiderivative, poly_derivative, poly_eval,
-                             potential_G, reaction, stable_zeros)
+                             potential_G, reaction, side_average, stable_zeros)
 
 
 def test_mu_signs():
@@ -101,3 +101,22 @@ def test_fold_detection():
     # beyond the cusp of u - u^3 + alpha the bistable pair disappears
     with pytest.raises(NoConvergence):
         stable_zeros(0.4, ModelParams(g_left=(1.0,)))
+
+
+def test_side_average_sampling():
+    x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert origin_index(x) == 2
+    np.testing.assert_array_equal(side_average(x, 1.0, -1.0),
+                                  [1.0, 1.0, 0.0, -1.0, -1.0])
+    # array values: one-sided off x = 0, the mean on the x = 0 column
+    left = np.arange(10.0).reshape(2, 5)
+    right = -10.0 * left
+    got = side_average(x, left, right)
+    np.testing.assert_array_equal(got[:, :2], left[:, :2])
+    np.testing.assert_array_equal(got[:, 3:], right[:, 3:])
+    np.testing.assert_array_equal(got[:, 2], 0.5 * (left[:, 2] + right[:, 2]))
+    # a grid without an x = 0 node is sampled one-sidedly everywhere
+    xs = x + 0.25
+    assert origin_index(xs) is None
+    np.testing.assert_array_equal(side_average(xs, left, right),
+                                  np.where(xs < 0, left, right))

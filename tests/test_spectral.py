@@ -6,8 +6,8 @@ from quenchlab.profiles1d import Grid1D, solve_quench_front
 from quenchlab.quench2d import solve_theta
 from quenchlab.spectral import (LinearOperator1D,
                                 conjugation_defect, kernel_check_2d,
-                                max_real_eig_1d, quench_front_operator,
-                                append_report)
+                                max_real_eig_1d, quench_front_operator)
+from quenchlab.textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
 
@@ -95,6 +95,8 @@ def test_conjugation_identity(theta_half_small):
 
 def test_append_report(tmp_path):
     path = tmp_path / "rep.txt"
-    append_report(str(path), {"a": 1, "b": 2.5})
-    append_report(str(path), {"c": "x"})
+    write_entries(str(path), {"a": 1, "b": 2.5})
+    write_entries(str(path), {"c": "x"}, mode="a")
     assert path.read_text() == "a = 1\nb = 2.5\nc = x\n"
+    write_entries(str(path), {"d": 3})
+    assert path.read_text() == "d = 3\n"
