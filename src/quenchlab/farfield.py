@@ -18,8 +18,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from .errors import IllConditioned, NotConverged
-from .model import (ModelParams, interface_correction, origin_index,
-                    poly_derivative, poly_eval, side_average)
+from .model import (ModelParams, interface_correction, interface_correction_jac,
+                    origin_index, poly_derivative, poly_eval, side_average)
 from .profiles1d import (Grid1D, Profile1D, WaveSolution, solve_quench_front,
                          solve_traveling_wave)
 from .textio import write_entries
@@ -383,6 +383,18 @@ def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
          + t * (2.0 * Sx @ sp.kron(Dy, Dx) + t * Sx @ Sx @ sp.kron(Dyy, Ix)
                 + (p.c_x * Sx + Sxx) @ sp.kron(Dy, Ix))
          + sp.diags(q.ravel()))
+    j0 = origin_index(xi)
+    if j0 is not None:
+        # the jump correction on the x = 0 column depends on u0 and, through
+        # ux, on the column's x-neighbours
+        ux = (vi[:, j0 + 1] - vi[:, j0 - 1]) / (2 * hx)
+        d_du0, d_dux = interface_correction_jac(vi[:, j0], ux, p, hx, p.c_x)
+        rows = np.arange(nyi) * nxi + j0
+        side = d_dux / (2 * hx)
+        A = A - sp.csr_matrix(
+            (np.concatenate([d_du0, side, -side]),
+             (np.tile(rows, 3), np.concatenate([rows, rows + 1, rows - 1]))),
+            shape=A.shape)
     return A.tocsr()
 
 

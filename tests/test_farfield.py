@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quenchlab.farfield import (PartitionSpec,
-                                ShearSpec, _sheared_residual_interior,
+                                ShearSpec, _jacobian_w, _sheared_residual_interior,
                                 ansatz_sheared, build_profiles,
                                 farfield_ansatz, partition_derivative_bound,
                                 partition_of_unity, residual_F, save_correction,
@@ -184,6 +184,23 @@ def test_sheared_residual_matches_stepper_at_zero_shear(rng):
     stepper = SemiImplicitStepper(f, P_FORCED.replace(c_y=c_y), dt=1.0)
     want = stepper.elliptic_residual(v)[1:-1, 1:-1]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_jacobian_matches_finite_differences(rng):
+    # includes the derivative of the jump correction on the x = 0 column
+    f = Field2D.on_rectangle(3.0, 3.0, 0.5)
+    v = rng.uniform(-1.0, 1.0, f.data.shape)
+    psi, c_y, eps = 0.2, 0.1, 1e-6
+    args = (psi, P_FORCED, f.x, f.hx, f.hy, c_y)
+    jac = _jacobian_w(v[1:-1, 1:-1], *args).toarray()
+    fd = np.empty_like(jac)
+    for k in range(jac.shape[1]):
+        vp, vm = v.copy(), v.copy()
+        vp[1:-1, 1:-1].flat[k] += eps
+        vm[1:-1, 1:-1].flat[k] -= eps
+        fd[:, k] = (_sheared_residual_interior(vp, *args)
+                    - _sheared_residual_interior(vm, *args)).ravel() / (2 * eps)
+    np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6)
 
 
 @pytest.fixture(scope="module")
