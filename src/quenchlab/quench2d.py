@@ -118,8 +118,6 @@ class SemiImplicitStepper:
         self.nx, self.ny = template.nx, template.ny
         self.hx, self.hy = template.hx, template.hy
         self.x = template.x
-        self.geometry = (template.nx, template.ny, template.x0, template.y0,
-                         template.hx, template.hy)
         lap_x = _neumann_laplacian_1d(self.nx, self.hx)
         lap_y = _neumann_laplacian_1d(self.ny, self.hy)
         dx1 = _neumann_d1_1d(self.nx, self.hx)
