@@ -181,7 +181,7 @@ def write_manifest(cfg: ExperimentConfig, path: str, timings: dict):
 def _step_initial_data(p: ModelParams, cfg: ExperimentConfig) -> Field2D:
     """Step data on the 2D grid: z_+ above and z_- below y = 0 left of the
     quenching line, z_0 right of it."""
-    branches = stable_zeros(p.alpha, p)
+    branches = stable_zeros(p)
     template = Field2D.on_rectangle(cfg.grid2d_half_width_x,
                                     cfg.grid2d_half_width_y, cfg.grid2d_h)
     return template.copy_with(
@@ -201,21 +201,21 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
     line in the left farfield.
     """
     u = _step_initial_data(p, cfg)
-    c_y = cy_from_angle(p.alpha, psi_seed, p, cfg.grid1d())
+    c_y = cy_from_angle(psi_seed, p, cfg.grid1d())
     drift = np.nan
     rate = np.nan
     track_steps = int(np.ceil(12.0 / cfg.solver_dt))
     for rnd in range(cfg.measure_max_rounds):
         pp = p.replace(c_y=c_y)
         stepper = SemiImplicitStepper(u, pp, cfg.solver_dt)
-        res = run_to_steady(u, pp, cfg.solver_dt, tol=cfg.measure_steady_tol,
-                            max_steps=cfg.measure_round_steps, stepper=stepper)
+        res = run_to_steady(stepper, u, tol=cfg.measure_steady_tol,
+                            max_steps=cfg.measure_round_steps)
         # fixed-length measurement leg: the drift fit needs a time span
         # regardless of how quickly the relaxation round converged
         rec = ContactRecorder(res.field)
-        res = run_to_steady(res.field, pp, cfg.solver_dt, tol=0.0,
+        res = run_to_steady(stepper, res.field, tol=0.0,
                             max_steps=track_steps, recorder=rec,
-                            record_every=2, stepper=stepper)
+                            record_every=2)
         u = res.field
         rate = res.final_update_rate
         drift = measure_drift(rec.track())
@@ -273,8 +273,9 @@ def _run_simulate(cfg: ExperimentConfig, out: str, log) -> None:
     p = cfg.model_params()
     u0 = _step_initial_data(p, cfg)
     rec = ContactRecorder(u0)
-    res = run_to_steady(u0, p, cfg.solver_dt, tol=cfg.solver_tol,
-                        max_steps=cfg.solver_max_steps, recorder=rec)
+    res = run_to_steady(SemiImplicitStepper(u0, p, cfg.solver_dt), u0,
+                        tol=cfg.solver_tol, max_steps=cfg.solver_max_steps,
+                        recorder=rec)
     write_field(res.field, os.path.join(out, "final.qnch"))
     track = rec.track()
     with open(os.path.join(out, "contact_track.csv"), "w") as fh:
@@ -321,7 +322,7 @@ def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:
     write_entries(os.path.join(out, "spectrum_report.txt"), {
         "c_x": f"{cfg.c_x:.17g}",
         "max_real_eig_front": f"{top_eig:.17g}",
-    }, mode="a")
+    })
     log(f"spectrum: max real eigenvalue {top_eig:.6f}")
 
 
@@ -329,7 +330,7 @@ def _run_bordered(cfg: ExperimentConfig, out: str, log) -> None:
     p = cfg.model_params()
     spec = farfield.PartitionSpec(R=cfg.bordered_R)
     eta = cfg.bordered_eta if cfg.bordered_eta > 0 else None
-    cc = farfield.solve_bordered(cfg.alpha, p, spec, eta=eta,
+    cc = farfield.solve_bordered(p, spec, eta=eta,
                                  half_width=cfg.bordered_half_width,
                                  h=cfg.bordered_h, lam=cfg.bordered_ridge)
     farfield.save_correction(cc, os.path.join(out, "core_correction"))

@@ -17,10 +17,6 @@ class DomainTooSmall(QuenchLabError):
     """Truncated domain too short for the requested profile's tails."""
 
 
-class DegenerateProblem(QuenchLabError):
-    """Equilibrium branches unavailable (outside the bistable regime)."""
-
-
 class LinearSolveFailure(QuenchLabError):
     """Sparse linear solve failed or produced non-finite values."""
 

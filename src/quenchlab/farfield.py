@@ -19,7 +19,8 @@ from scipy.optimize import brentq
 
 from .errors import IllConditioned, NotConverged
 from .model import (ModelParams, interface_correction, interface_correction_jac,
-                    origin_index, poly_derivative, poly_eval, side_average)
+                    origin_index, poly_derivative, poly_eval, side_average,
+                    stable_zeros)
 from .profiles1d import (Grid1D, Profile1D, WaveSolution, solve_quench_front,
                          solve_traveling_wave)
 from .textio import write_entries
@@ -134,21 +135,20 @@ def partition_of_unity(spec: PartitionSpec, x, y):
 
 def partition_derivative_bound(spec: PartitionSpec, k: int,
                                r_min: float | None = None,
-                               r_max: float | None = None,
-                               n_radii: int = 48, n_angles: int = 1440,
-                               fd_step: float = 1e-3) -> float:
+                               r_max: float | None = None) -> float:
     """max over samples of |d^k chi_j| (1+r)^k for all order-k derivatives.
 
     Zero-homogeneity of the windows in the farfield makes this bounded
-    independently of r; sampling covers [r_min, r_max] (defaults: the
-    radial ramp up to 10 R) densely in angle.
+    independently of r; 48 radii cover [r_min, r_max] (defaults: the
+    radial ramp up to 10 R) and 1440 angles each, and derivatives are
+    centered differences with step 1e-3.
     """
     if k not in (0, 1, 2):
         raise ValueError("derivative order k must be 0, 1, or 2")
     r_lo = spec.R - 1.5 if r_min is None else r_min
     r_hi = 10.0 * spec.R if r_max is None else r_max
-    radii = np.linspace(r_lo, r_hi, n_radii)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    radii = np.linspace(r_lo, r_hi, 48)
+    angles = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
     rr, tt = np.meshgrid(radii, angles)
     x = (-rr * np.cos(tt)).ravel()
     y = (rr * np.sin(tt)).ravel()
@@ -158,7 +158,7 @@ def partition_derivative_bound(spec: PartitionSpec, k: int,
 
     if k == 0:
         return float(np.abs(stack(x, y)).max())
-    d = fd_step
+    d = 1e-3
     if k == 1:
         gx = (stack(x + d, y) - stack(x - d, y)) / (2 * d)
         gy = (stack(x, y + d) - stack(x, y - d)) / (2 * d)
@@ -231,7 +231,7 @@ class FarfieldProfiles:
 
 
 def build_profiles(p: ModelParams, front_grid: Grid1D,
-                   wave_grid: Grid1D | None = None) -> FarfieldProfiles:
+                   wave_grid: Grid1D) -> FarfieldProfiles:
     """Solve the 1D blocks for an ansatz on the given grids.
 
     Sampling the fronts on the same grid columns as the 2D field makes the
@@ -239,8 +239,6 @@ def build_profiles(p: ModelParams, front_grid: Grid1D,
     regions; the wave grid usually extends further to cover oblique
     arguments.
     """
-    if wave_grid is None:
-        wave_grid = front_grid
     top = solve_quench_front("top", p, front_grid)
     bottom = solve_quench_front("bottom", p, front_grid)
     wave = solve_traveling_wave(p, wave_grid)
@@ -249,21 +247,18 @@ def build_profiles(p: ModelParams, front_grid: Grid1D,
     offset = brentq(lambda s: float(prof.values_at(s)), xs[0] / 2, xs[-1] / 2)
     if abs(offset) < 1e-9:
         offset = 0.0
-    from .model import stable_zeros
-    z_zero = stable_zeros(p.alpha, p).z_zero
+    z_zero = stable_zeros(p).z_zero
     return FarfieldProfiles(p=p, top=top, bottom=bottom, wave=wave,
                             z_zero=z_zero, wave_offset=offset)
 
 
-def farfield_ansatz(x, y, psi: float, alpha: float,
-                    profiles: FarfieldProfiles, spec: PartitionSpec):
+def farfield_ansatz(x, y, psi: float, profiles: FarfieldProfiles,
+                    spec: PartitionSpec):
     """Glued farfield approximation in the original (unsheared) coordinates.
 
     The left block is the oblique wave evaluated at sin(psi) x + cos(psi) y,
     which places its nodal ray on y = -tan(psi) x.
     """
-    if abs(alpha - profiles.p.alpha) > 1e-12:
-        raise ValueError("profiles were solved at a different alpha")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     chi_t, chi_r, chi_b, chi_l, _ = partition_of_unity(spec, x, y)
@@ -280,16 +275,10 @@ def farfield_ansatz(x, y, psi: float, alpha: float,
 
 def ansatz_sheared(X, Y, psi: float, profiles: FarfieldProfiles,
                    spec: PartitionSpec):
-    """Ansatz on the sheared grid: windows ride along the inverse shear map,
-    and the oblique wave's argument flattens to cos(psi) Y far left."""
-    sspec = ShearSpec(psi)
-    _, y_orig = shear_inverse(X, Y, sspec)
-    chi_t, chi_r, chi_b, chi_l, _ = partition_of_unity(spec, X, y_orig)
-    arg = np.sin(psi) * X * (1.0 - shear_cutoff(X)) + np.cos(psi) * Y
-    return (chi_t * profiles.top.values_at(X)
-            + chi_r * profiles.z_zero
-            + chi_b * profiles.bottom.values_at(X)
-            + chi_l * profiles.wave_at(arg))
+    """The ansatz at the preimage of the sheared grid points, where the
+    oblique wave's argument flattens to cos(psi) Y far left."""
+    x, y = shear_inverse(X, Y, ShearSpec(psi))
+    return farfield_ansatz(x, y, psi, profiles, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +311,22 @@ def _sheared_residual_interior(v: np.ndarray, psi: float, p: ModelParams,
     return r
 
 
-def residual_F(w: Field2D, psi: float, alpha: float, p: ModelParams,
-               spec: PartitionSpec, profiles: FarfieldProfiles) -> Field2D:
+def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
+               profiles: FarfieldProfiles) -> Field2D:
     """Residual field of the sheared equation at ansatz + core correction.
 
-    w lives on the sheared grid with zero boundary values; the frame speed
-    c_y is set from the geometric speed relation at (alpha, psi).  Boundary
-    entries of the returned field are zero.
+    w lives on the sheared grid with zero boundary values; the model is
+    profiles.p and the frame speed c_y is set from the geometric speed
+    relation at (alpha, psi).  Boundary entries of the returned field are
+    zero.
     """
     if w.data.shape != (w.ny, w.nx):
         raise ValueError("field shape mismatch")
-    if abs(alpha - p.alpha) > 1e-12 or abs(alpha - profiles.p.alpha) > 1e-12:
-        raise ValueError("alpha of params/profiles does not match")
     X, Y = np.meshgrid(w.x, w.y)
     v = ansatz_sheared(X, Y, psi, profiles, spec) + w.data
     r = np.zeros_like(v)
     r[1:-1, 1:-1] = _sheared_residual_interior(
-        v, psi, p, w.x, w.hx, w.hy, profiles.c_y(psi))
+        v, psi, profiles.p, w.x, w.hx, w.hy, profiles.c_y(psi))
     return w.copy_with(r)
 
 
@@ -398,40 +386,42 @@ def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
     return A.tocsr()
 
 
-def solve_bordered(alpha: float, p: ModelParams, spec: PartitionSpec,
+#: Gauss-Newton budget of solve_bordered: iterations, the max-norm step that
+#: ends them, the weighted residual it must reach, and the psi step of the
+#: centered difference that gives the psi column of the Jacobian
+_GN_MAX_ITER = 30
+_GN_STEP_TOL = 1e-8
+_GN_RESIDUAL_TARGET = 1e-6
+_GN_FD_PSI = 1e-6
+
+
+def solve_bordered(p: ModelParams, spec: PartitionSpec,
                    eta: float | None = None, half_width: float = 30.0,
                    h: float = 0.25, theta: Field2D | None = None,
-                   profiles: FarfieldProfiles | None = None,
-                   psi0: float = 0.0, lam: float = 1e-5,
-                   max_iter: int = 30, step_tol: float = 1e-8,
-                   residual_target: float = 1e-6,
-                   fd_psi: float = 1e-6) -> CoreCorrection:
+                   lam: float = 1e-5) -> CoreCorrection:
     """Solve the sheared equation for (w, psi) by weighted Gauss-Newton.
 
     The objective is |e^{eta(|x|+|y|)} F|^2 plus a small ridge lam^2 on the
     weighted core correction; the ridge selects the exponentially localized
     representative on the discrete solution manifold and leaves the angle
     insensitive to lam over several orders of magnitude.  The symmetric
-    zero-angle state seeds w.
+    zero-angle state seeds w, and psi starts at 0.
     """
-    if abs(alpha - p.alpha) > 1e-12:
-        p = p.replace(alpha=alpha)
     if eta is None:
         eta = min(p.c_x, 1.0) / 4.0
     if not 0.0 < eta < max(p.c_x, 1e-12):
         raise ValueError("need weight rate 0 < eta < c_x")
     template = Field2D.on_rectangle(half_width, half_width, h)
-    if profiles is None:
-        front_grid = Grid1D.symmetric(half_width, min(h / 4, 0.02))
-        wave_grid = Grid1D.symmetric(1.6 * half_width, min(h / 4, 0.02))
-        profiles = build_profiles(p, front_grid, wave_grid)
+    h1 = min(h / 4, 0.02)
+    profiles = build_profiles(p, Grid1D.symmetric(half_width, h1),
+                              Grid1D.symmetric(1.6 * half_width, h1))
     if theta is None:
         theta = solve_theta(p.c_x, half_width, half_width, h=h, dt=0.25, tol=1e-9)
     X, Y = np.meshgrid(template.x, template.y)
-    w = theta.data - ansatz_sheared(X, Y, psi0, profiles, spec)
+    w = theta.data - ansatz_sheared(X, Y, 0.0, profiles, spec)
     w[0, :] = w[-1, :] = 0.0
     w[:, 0] = w[:, -1] = 0.0
-    psi = psi0
+    psi = 0.0
     x = template.x
     hx = hy = h
     weight = np.exp(eta * (np.abs(X) + np.abs(Y)))[1:-1, 1:-1].ravel()
@@ -445,13 +435,13 @@ def solve_bordered(alpha: float, p: ModelParams, spec: PartitionSpec,
 
     rn = np.inf
     kkt = np.inf
-    for it in range(max_iter):
+    for it in range(_GN_MAX_ITER):
         r, v = interior_residual(w, psi)
         rw = weight * r.ravel()
         rn = np.linalg.norm(rw) * norm_scale
-        rp, _ = interior_residual(w, psi + fd_psi)
-        rm, _ = interior_residual(w, psi - fd_psi)
-        b = weight * ((rp - rm).ravel() / (2 * fd_psi))
+        rp, _ = interior_residual(w, psi + _GN_FD_PSI)
+        rm, _ = interior_residual(w, psi - _GN_FD_PSI)
+        b = weight * ((rp - rm).ravel() / (2 * _GN_FD_PSI))
         A = _jacobian_w(v[1:-1, 1:-1], psi, p, x, hx, hy, profiles.c_y(psi))
         Aw = sp.diags(weight) @ A @ sp.diags(1.0 / weight)
         wv = weight * w[1:-1, 1:-1].ravel()
@@ -474,16 +464,16 @@ def solve_bordered(alpha: float, p: ModelParams, spec: PartitionSpec,
         w[1:-1, 1:-1] += dw
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
-        if step < step_tol:
+        if step < _GN_STEP_TOL:
             break
     r, _ = interior_residual(w, psi)
     rn = float(np.linalg.norm(weight * r.ravel()) * norm_scale)
-    if rn > residual_target:
+    if rn > _GN_RESIDUAL_TARGET:
         raise NotConverged(
-            f"weighted residual {rn:.3e} above target {residual_target} "
+            f"weighted residual {rn:.3e} above target {_GN_RESIDUAL_TARGET} "
             f"after {it + 1} iterations")
     wfield = template.copy_with(w)
-    return CoreCorrection(w=wfield, psi=float(psi), alpha=alpha,
+    return CoreCorrection(w=wfield, psi=float(psi), alpha=p.alpha,
                           weighted_residual=rn, weight_rate=eta,
                           iterations=it + 1, kkt_norm=kkt)
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientPoints, NoCrossing
+from .model import origin_index
 from .quench2d import Field2D
 
 
@@ -129,7 +130,9 @@ class ContactRecorder:
     """run_to_steady recorder that tracks the contact point at x = 0."""
 
     def __init__(self, template: Field2D):
-        self.i0 = template.index_of_x(0.0)
+        self.i0 = origin_index(template.x)
+        if self.i0 is None:
+            raise ValueError("grid does not contain x = 0 as a node")
         self.yv = template.y
         self.times = []
         self.heights = []

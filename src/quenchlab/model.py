@@ -182,13 +182,14 @@ def _newton_scalar(f, fp, x0, tol=_ZERO_TOL, max_iter=80):
     raise NoConvergence(f"root iteration from {x0} stalled at residual {f(x):.3e}")
 
 
-def stable_zeros(alpha: float, p: ModelParams) -> EquilibriumBranches:
-    """Equilibrium branches z_-(alpha) < z_0(alpha) < z_+(alpha).
+def stable_zeros(p: ModelParams) -> EquilibriumBranches:
+    """Equilibrium branches z_-(alpha) < z_0(alpha) < z_+(alpha) at p.alpha.
 
     z_+- are the zeros of u - u^3 + alpha*g_l(u) continuing +-1 and z_0 is
     the zero of -u - u^3 + alpha*g_r(u) continuing 0.  Raises NoConvergence
     when Newton fails or the branches approach a fold.
     """
+    alpha = p.alpha
     gl, gr = p.g_left, p.g_right
     glp, grp = poly_derivative(gl), poly_derivative(gr)
 

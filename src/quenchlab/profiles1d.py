@@ -15,13 +15,18 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
 from .model import (ModelParams, interface_correction, interface_correction_jac,
-                    poly_derivative, poly_eval, side_average, stable_zeros)
+                    origin_index, poly_derivative, poly_eval, side_average,
+                    stable_zeros)
 from .textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
 
 #: endpoint-gradient threshold used to detect undersized truncation domains
 TRUNCATION_GRADIENT_TOL = 1e-5
+
+#: max-norm residual target and iteration budget of the 1D Newton solves
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,8 @@ class Grid1D:
 
     def index_of_origin(self) -> int:
         """Index of the node at x = 0; raises if 0 is not a node."""
-        i = int(round(-self.x_min / self.h))
-        if not (0 <= i < self.n) or abs(self.x_min + i * self.h) > 1e-9 * max(1.0, self.h):
+        i = origin_index(self.nodes())
+        if i is None:
             raise ValueError("grid does not contain x = 0 as a node")
         return i
 
@@ -119,8 +124,8 @@ def _tridiag_solve(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
-                       tol: float = 1e-10, max_iter: int = 50) -> Profile1D:
+def solve_quench_front(side: str, p: ModelParams,
+                       grid: Grid1D = DEFAULT_GRID) -> Profile1D:
     """Front across the quenching jump: u'' + c_x u' + mu(x) u - u^3 + a g = 0.
 
     side="top" connects z_+(alpha) at -inf to z_0(alpha) at +inf and is
@@ -132,7 +137,7 @@ def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
     x = grid.nodes()
     h = grid.h
     i0 = grid.index_of_origin()
-    branches = stable_zeros(p.alpha, p)
+    branches = stable_zeros(p)
     left_val = branches.z_plus if side == "top" else branches.z_minus
     right_val = branches.z_zero
     a = p.alpha
@@ -175,10 +180,10 @@ def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
     def masked_norm(r):
         return max(abs(r[1:-1]).max(), 0.0)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = residual(u)
         rn = masked_norm(r)
-        if rn < tol:
+        if rn < NEWTON_TOL:
             break
         lower, diag, upper = newton_matrix(u)
         rhs = -r
@@ -194,7 +199,7 @@ def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
         else:
             raise NoConvergence("quench-front line search stalled")
     else:
-        raise NoConvergence(f"quench front did not reach tol={tol}")
+        raise NoConvergence(f"quench front did not reach tol={NEWTON_TOL}")
 
     for end in (0, -1):
         grad = abs(u[end + 1] - u[end]) / h if end == 0 else abs(u[end] - u[end - 1]) / h
@@ -212,21 +217,19 @@ def solve_quench_front(side: str, p: ModelParams, grid: Grid1D = DEFAULT_GRID,
                      limit_right=right_val, residual_norm=rn, kind=side)
 
 
-def solve_traveling_wave(p: ModelParams, grid: Grid1D = DEFAULT_GRID,
-                         speed: float | None = None, tol: float = 1e-10,
-                         max_iter: int = 50) -> WaveSolution:
+def solve_traveling_wave(p: ModelParams,
+                         grid: Grid1D = DEFAULT_GRID) -> WaveSolution:
     """Planar bistable front z'' + c z' + z - z^3 + alpha g_l(z) = 0.
 
-    With speed=None the wave speed is an unknown, determined together with
-    the profile by a bordered Newton iteration under the phase condition
-    z(0) = (z_+ + z_-)/2; the result is the selected normal speed.  With a
-    given speed the profile alone is solved at that fixed speed.
+    The wave speed is an unknown, determined together with the profile by a
+    bordered Newton iteration under the phase condition z(0) = (z_+ + z_-)/2;
+    the result is the selected normal speed.
     """
     x = grid.nodes()
     h = grid.h
     i_mid = grid.index_of_origin()
     try:
-        branches = stable_zeros(p.alpha, p)
+        branches = stable_zeros(p)
     except NoConvergence as exc:
         raise NoConvergence(f"bistable branches unavailable: {exc}") from exc
     z_minus, z_plus = branches.z_minus, branches.z_plus
@@ -234,8 +237,7 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D = DEFAULT_GRID,
     a = p.alpha
     gl = p.g_left
     glp = poly_derivative(gl)
-    solve_speed = speed is None
-    c = 0.0 if solve_speed else float(speed)
+    c = 0.0
 
     def residual(z, c):
         r = np.zeros_like(z)
@@ -247,11 +249,11 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D = DEFAULT_GRID,
     z = mid + 0.5 * (z_plus - z_minus) * np.tanh(x / SQRT2)
     z[0], z[-1] = z_minus, z_plus
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = residual(z, c)
-        phase = z[i_mid] - mid if solve_speed else 0.0
+        phase = z[i_mid] - mid
         rn = max(abs(r[1:-1]).max(), abs(phase))
-        if rn < tol:
+        if rn < NEWTON_TOL:
             break
         lower = np.full(grid.n - 1, 1.0 / h**2 - c / (2.0 * h))
         upper = np.full(grid.n - 1, 1.0 / h**2 + c / (2.0 * h))
@@ -261,23 +263,20 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D = DEFAULT_GRID,
         lower[-1] = 0.0
         rhs = -r
         rhs[0] = rhs[-1] = 0.0
-        if solve_speed:
-            # bordered elimination: zcol is the speed column of the Jacobian
-            zcol = np.zeros_like(z)
-            zcol[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
-            pvec = _tridiag_solve(lower, diag, upper, rhs)
-            qvec = _tridiag_solve(lower, diag, upper, zcol)
-            denom = qvec[i_mid]
-            if abs(denom) < 1e-14:
-                raise NoConvergence("phase condition degenerate")
-            dc = (pvec[i_mid] + phase) / denom
-            dz = pvec - dc * qvec
-            c += dc
-        else:
-            dz = _tridiag_solve(lower, diag, upper, rhs)
+        # bordered elimination: zcol is the speed column of the Jacobian
+        zcol = np.zeros_like(z)
+        zcol[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
+        pvec = _tridiag_solve(lower, diag, upper, rhs)
+        qvec = _tridiag_solve(lower, diag, upper, zcol)
+        denom = qvec[i_mid]
+        if abs(denom) < 1e-14:
+            raise NoConvergence("phase condition degenerate")
+        dc = (pvec[i_mid] + phase) / denom
+        dz = pvec - dc * qvec
+        c += dc
         z = z + dz
     else:
-        raise NoConvergence(f"traveling wave did not reach tol={tol}")
+        raise NoConvergence(f"traveling wave did not reach tol={NEWTON_TOL}")
 
     profile = Profile1D(grid=grid, values=z, limit_left=z_minus,
                         limit_right=z_plus, residual_norm=rn, kind="traveling_wave")
@@ -315,12 +314,12 @@ def cn_prime_quadrature(g_left, half_width: float = 40.0, panels: int = 160) -> 
     return -num / den
 
 
-def cy_from_angle(alpha: float, psi: float, p: ModelParams,
+def cy_from_angle(psi: float, p: ModelParams,
                   grid: Grid1D = DEFAULT_GRID) -> float:
-    """Vertical frame speed c_y = c_n(alpha)/cos(psi) - c_x tan(psi)."""
+    """Vertical frame speed c_y = c_n(alpha)/cos(psi) - c_x tan(psi) at p.alpha."""
     if not abs(psi) < np.pi / 2:
         raise ValueError("need |psi| < pi/2")
-    cn = normal_speed(p.replace(alpha=alpha), grid)
+    cn = normal_speed(p, grid)
     return cn / np.cos(psi) - p.c_x * np.tan(psi)
 
 

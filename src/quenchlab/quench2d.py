@@ -51,12 +51,6 @@ class Field2D:
     def y(self) -> np.ndarray:
         return self.y0 + self.hy * np.arange(self.ny)
 
-    def index_of_x(self, xv: float) -> int:
-        i = int(round((xv - self.x0) / self.hx))
-        if not (0 <= i < self.nx) or abs(self.x0 + i * self.hx - xv) > 1e-9:
-            raise ValueError(f"x = {xv} is not a grid node")
-        return i
-
     def copy_with(self, data: np.ndarray) -> "Field2D":
         return Field2D(self.nx, self.ny, self.x0, self.y0, self.hx, self.hy,
                        data=np.array(data, dtype=float))
@@ -161,17 +155,16 @@ class SemiImplicitStepper:
         return lin + (self.reaction(u) if self.include_reaction else 0.0)
 
 
-def run_to_steady(u0: Field2D, p: ModelParams, dt: float, tol: float = 1e-8,
+def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
                   max_steps: int = 20000, project_odd: bool = False,
-                  recorder=None, record_every: int = 5,
-                  stepper: SemiImplicitStepper | None = None) -> SteadyResult:
-    """Iterate until the update rate max|u_{n+1}-u_n|/dt drops below tol.
+                  recorder=None, record_every: int = 5) -> SteadyResult:
+    """Step from u0 until the update rate max|u_{n+1}-u_n|/dt drops below tol.
 
-    recorder(step_index, time, data) is invoked every record_every steps.
-    Convergence is reported honestly via SteadyResult.converged.
+    dt is the stepper's.  recorder(step_index, time, data) is invoked every
+    record_every steps.  Convergence is reported honestly via
+    SteadyResult.converged.
     """
-    if stepper is None:
-        stepper = SemiImplicitStepper(u0, p, dt)
+    dt = stepper.dt
     u = u0.data.copy()
     if project_odd:
         u = 0.5 * (u - u[::-1, :])
@@ -206,8 +199,8 @@ def solve_theta(c_x: float, half_width_x: float = 60.0, half_width_y: float = 60
     p = ModelParams(c_x=c_x)
     tmpl = Field2D.on_rectangle(half_width_x, half_width_y, h)
     u0 = tmpl.copy_with(np.sign(tmpl.y)[:, None] * (tmpl.x[None, :] < 0))
-    result = run_to_steady(u0, p, dt=dt, tol=tol, max_steps=max_steps,
-                           project_odd=True)
+    result = run_to_steady(SemiImplicitStepper(u0, p, dt), u0, tol=tol,
+                           max_steps=max_steps, project_odd=True)
     if not result.converged:
         raise NotConverged(
             f"update rate {result.final_update_rate:.2e} > {tol} after {result.steps} steps")

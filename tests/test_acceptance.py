@@ -255,7 +255,7 @@ def test_criterion_10_structure(rng):
     rr = np.hypot(X, Y)
     sups = []
     for R in (20.0, 30.0, 40.0):
-        r = residual_F(w, 0.0, 0.0, p, PartitionSpec(R=R), profiles)
+        r = residual_F(w, 0.0, PartitionSpec(R=R), profiles)
         ann = (rr >= R + 2 * h) & (rr <= 2 * R)
         sups.append(np.max(np.abs(r.data[ann])))
     ok = (sum_defect <= 1e-15 and roundtrip < 1e-14
@@ -270,14 +270,14 @@ def test_criterion_11_bordered_vs_marching(theta_half_mid, measure_cfg_fine,
     t0 = time.perf_counter()
     spec = PartitionSpec(R=12.0)
     p0 = ModelParams(c_x=0.5)
-    cc0 = solve_bordered(0.0, p0, spec, half_width=30.0, h=0.25,
+    cc0 = solve_bordered(p0, spec, half_width=30.0, h=0.25,
                          theta=theta_half_mid)
     ok = abs(cc0.psi) < 1e-6
 
     details = [f"psi(0) = {cc0.psi:+.2e}"]
     for alpha in (0.1, -0.1):
         p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
-        cc = solve_bordered(alpha, p, spec, half_width=30.0, h=0.25,
+        cc = solve_bordered(p, spec, half_width=30.0, h=0.25,
                             theta=theta_half_mid)
         seed = report_family1.dphi_dalpha * alpha
         measured = measure_steady_angle(p, measure_cfg_fine, psi_seed=seed)["psi"]

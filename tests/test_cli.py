@@ -74,6 +74,11 @@ def test_spectrum_mode(tmp_path):
     text = (tmp_path / "spectrum_report.txt").read_text()
     key, val = [ln for ln in text.splitlines() if "max_real_eig" in ln][0].split("=")
     assert float(val) < -0.05
+    # a rerun into the same directory rewrites the report
+    assert run(cfg, log=lambda *a: None) == 0
+    keys = [ln.split("=")[0].strip() for ln in
+            (tmp_path / "spectrum_report.txt").read_text().splitlines()]
+    assert sorted(keys) == ["c_x", "max_real_eig_front"]
 
 
 def test_empty_sweep_writes_header_only(tmp_path):

@@ -86,13 +86,11 @@ def profiles_zero():
 
 def test_ansatz_farfield_values(profiles_zero):
     # deep right: exactly the right equilibrium
-    v = farfield_ansatz(30.0, 0.0, 0.1, 0.0, profiles_zero, SPEC)
+    v = farfield_ansatz(30.0, 0.0, 0.1, profiles_zero, SPEC)
     assert v == pytest.approx(profiles_zero.z_zero, abs=1e-15)
     # deep top at psi=0: the top front
-    v = farfield_ansatz(-3.0, 30.0, 0.0, 0.0, profiles_zero, SPEC)
+    v = farfield_ansatz(-3.0, 30.0, 0.0, profiles_zero, SPEC)
     assert v == pytest.approx(profiles_zero.top.values_at(-3.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        farfield_ansatz(0.0, 30.0, 0.0, 0.05, profiles_zero, SPEC)
 
 
 def test_ansatz_nodal_ray(profiles_zero):
@@ -100,9 +98,9 @@ def test_ansatz_nodal_ray(profiles_zero):
     psi = 0.15
     for x in (-25.0, -35.0):
         y_ray = -np.tan(psi) * x
-        v = farfield_ansatz(x, y_ray, psi, 0.0, profiles_zero, SPEC)
+        v = farfield_ansatz(x, y_ray, psi, profiles_zero, SPEC)
         assert abs(v) < 1e-10
-        assert farfield_ansatz(x, y_ray + 1.0, psi, 0.0, profiles_zero, SPEC) > 0.3
+        assert farfield_ansatz(x, y_ray + 1.0, psi, profiles_zero, SPEC) > 0.3
 
 
 def test_sheared_ansatz_flattens_left(profiles_zero):
@@ -117,7 +115,7 @@ def test_sheared_ansatz_flattens_left(profiles_zero):
 
 def test_residual_zero_in_pure_right_region(profiles_zero):
     w = Field2D.on_rectangle(30.0, 30.0, 0.5)
-    r = residual_F(w, 0.05, 0.0, ModelParams(c_x=0.5), SPEC, profiles_zero)
+    r = residual_F(w, 0.05, SPEC, profiles_zero)
     X, Y = np.meshgrid(w.x, w.y)
     deep_right = (X > SPEC.R + 2) & (np.abs(Y) < X / 2)
     assert np.max(np.abs(r.data[deep_right])) < 1e-9
@@ -140,7 +138,7 @@ def test_residual_consistency_order(theta_half_fine):
         w.data[:] = sub - uff
         w.data[0, :] = w.data[-1, :] = 0.0
         w.data[:, 0] = w.data[:, -1] = 0.0
-        r = residual_F(w, 0.0, 0.0, p, SPEC, profiles)
+        r = residual_F(w, 0.0, SPEC, profiles)
         interior = r.data[1:-1, 1:-1]
         # w carries the (nonzero) true state at the frame, so the first
         # stencil layer next to the clamped boundary is polluted; skip it
@@ -162,7 +160,7 @@ def test_residual_overlap_decreases_with_core_radius():
     sups = []
     for R in (20.0, 30.0, 40.0):
         spec = PartitionSpec(R=R)
-        r = residual_F(w, 0.0, 0.0, p, spec, profiles)
+        r = residual_F(w, 0.0, spec, profiles)
         # keep one stencil width clear of the core-mollification ring [R-1, R]
         ann = (rr >= R + 2 * h) & (rr <= 2 * R)
         sups.append(np.max(np.abs(r.data[ann])))
@@ -214,7 +212,7 @@ def bordered_small():
 
 def test_bordered_symmetric_state(bordered_small):
     p, spec, kw = bordered_small
-    cc = solve_bordered(0.0, p, spec, **kw)
+    cc = solve_bordered(p, spec, **kw)
     assert abs(cc.psi) < 1e-6
     assert cc.weighted_residual < 1e-6
     assert cc.w.data[0, :].max() == 0.0  # zero boundary values
@@ -231,8 +229,8 @@ def test_bordered_angle_odd_in_alpha(bordered_small):
     # constant g_r: alpha -> -alpha with u -> -u is an exact symmetry
     p, spec, kw = bordered_small
     pp = ModelParams(c_x=0.5, g_right=(1.0,))
-    plus = solve_bordered(0.05, pp.replace(alpha=0.05), spec, **kw)
-    minus = solve_bordered(-0.05, pp.replace(alpha=-0.05), spec, **kw)
+    plus = solve_bordered(pp.replace(alpha=0.05), spec, **kw)
+    minus = solve_bordered(pp.replace(alpha=-0.05), spec, **kw)
     assert plus.psi > 0.02
     assert plus.psi == pytest.approx(-minus.psi, rel=1e-6)
     # first-order optimality of the weighted least-squares solve
@@ -251,7 +249,7 @@ def test_bordered_slope_matches_selection_integrals(theta_half_mid,
     psi = {}
     for alpha in (0.02, -0.02):
         p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
-        cc = solve_bordered(alpha, p, spec, half_width=30.0, h=0.25,
+        cc = solve_bordered(p, spec, half_width=30.0, h=0.25,
                             theta=theta_half_mid)
         psi[alpha] = cc.psi
     slope = (psi[0.02] - psi[-0.02]) / 0.04
@@ -260,7 +258,7 @@ def test_bordered_slope_matches_selection_integrals(theta_half_mid,
 
 def test_save_correction_roundtrip(bordered_small, tmp_path):
     p, spec, kw = bordered_small
-    cc = solve_bordered(0.0, p, spec, **kw)
+    cc = solve_bordered(p, spec, **kw)
     base = str(tmp_path / "core")
     save_correction(cc, base)
     w = read_field(base + ".qnch")

@@ -117,13 +117,13 @@ def test_drift_in_static_frame_matches_geometric_speed():
     f.data[:] = np.where(f.x[None, :] < 0,
                          np.where(f.y[:, None] > 0, 1.0, -1.0), 0.0)
     stepper = SemiImplicitStepper(f, p, dt=0.25)
-    res = run_to_steady(f, p, dt=0.25, tol=0.0, max_steps=160, stepper=stepper)
+    res = run_to_steady(stepper, f, tol=0.0, max_steps=160)
     rec = ContactRecorder(res.field)
-    res = run_to_steady(res.field, p, dt=0.25, tol=0.0, max_steps=80,
-                        recorder=rec, record_every=2, stepper=stepper)
+    res = run_to_steady(stepper, res.field, tol=0.0, max_steps=80,
+                        recorder=rec, record_every=2)
     drift = measure_drift(rec.track())
     m = fit_contact_angle(zero_level_set(res.field), (-25.0, -8.0))
-    predicted = cy_from_angle(0.1, m.psi, p, Grid1D.symmetric(30.0, 0.01))
+    predicted = cy_from_angle(m.psi, p, Grid1D.symmetric(30.0, 0.01))
     assert abs(drift - predicted) / abs(predicted) < 0.10
 
 

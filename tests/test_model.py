@@ -54,14 +54,14 @@ def test_potential_derivative_is_minus_g():
 
 
 def test_stable_zeros_unperturbed():
-    b = stable_zeros(0.0, ModelParams())
+    b = stable_zeros(ModelParams())
     assert (b.z_minus, b.z_zero, b.z_plus) == (-1.0, 0.0, 1.0)
 
 
 def test_stable_zeros_first_order_and_oracle():
     p = ModelParams(g_left=(1.0,), g_right=(1.0,))
     alpha = 0.01
-    b = stable_zeros(alpha, p)
+    b = stable_zeros(p.replace(alpha=alpha))
     # independent oracle: all roots of the one-sided cubics via numpy
     left_roots = np.roots([-1.0, 0.0, 1.0, alpha])     # -u^3 + u + alpha
     right_roots = np.roots([-1.0, 0.0, -1.0, alpha])   # -u^3 - u + alpha
@@ -79,12 +79,12 @@ def test_stable_zeros_first_order_and_oracle():
 def test_stable_zeros_quadratic_keeps_origin():
     p = ModelParams(g_left=(0.0, 0.0, 0.5))
     for alpha in (0.05, -0.1, 0.2):
-        assert stable_zeros(alpha, p).z_zero == 0.0
+        assert stable_zeros(p.replace(alpha=alpha)).z_zero == 0.0
 
 
 def test_stable_zeros_residuals():
     p = ModelParams(g_left=(0.3, 0.0, 0.5), g_right=(1.0,))
-    b = stable_zeros(0.05, p)
+    b = stable_zeros(p.replace(alpha=0.05))
     assert abs(reaction(-1.0, b.z_minus, p.replace(alpha=0.05))) < 1e-12
     assert abs(reaction(-1.0, b.z_plus, p.replace(alpha=0.05))) < 1e-12
     assert abs(reaction(1.0, b.z_zero, p.replace(alpha=0.05))) < 1e-12
@@ -92,7 +92,7 @@ def test_stable_zeros_residuals():
 
 def test_stable_zeros_symmetric_for_odd_g(rng):
     p = ModelParams(g_left=(0.0, 1.0), g_right=(0.0, 1.0))
-    b = stable_zeros(0.04, p)
+    b = stable_zeros(p.replace(alpha=0.04))
     assert b.z_minus == pytest.approx(-b.z_plus, abs=1e-13)
     assert b.z_zero == pytest.approx(0.0, abs=1e-13)
 
@@ -100,7 +100,7 @@ def test_stable_zeros_symmetric_for_odd_g(rng):
 def test_fold_detection():
     # beyond the cusp of u - u^3 + alpha the bistable pair disappears
     with pytest.raises(NoConvergence):
-        stable_zeros(0.4, ModelParams(g_left=(1.0,)))
+        stable_zeros(ModelParams(alpha=0.4, g_left=(1.0,)))
 
 
 def test_side_average_sampling():
