@@ -316,7 +316,7 @@ def cn_prime_quadrature(g_left, half_width: float = 40.0, panels: int = 160) -> 
 
 def cy_from_angle(psi: float, p: ModelParams,
                   grid: Grid1D = DEFAULT_GRID) -> float:
-    """Vertical frame speed c_y = c_n(alpha)/cos(psi) - c_x tan(psi) at p.alpha."""
+    """Vertical frame speed c_y = c_n(alpha)/cos(psi) - c_x tan(psi)."""
     if not abs(psi) < np.pi / 2:
         raise ValueError("need |psi| < pi/2")
     cn = normal_speed(p, grid)
