@@ -62,7 +62,6 @@ class ExperimentConfig:
     bordered_h: float = 0.25
     bordered_R: float = 12.0
     bordered_eta: float = 0.0  # 0 means min(c_x, 1)/4
-    bordered_ridge: float = 1e-5
     # angle measurement
     measure_window_lo: float = -35.0
     measure_window_hi: float = -10.0
@@ -150,6 +149,14 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("solver.dt and solver.tol must be positive")
     if len(cfg.g_left) > 4 or len(cfg.g_right) > 4:
         raise ConfigError("perturbation polynomials must have degree <= 3")
+    if not 0 <= cfg.bordered_eta < max(cfg.c_x, 1e-12):
+        raise ConfigError("need 0 <= bordered.eta < model.c_x")
+    if cfg.mode == "bordered" and cfg.c_x == 0:
+        raise ConfigError("bordered mode needs model.c_x > 0")
+    if cfg.bordered_R <= 2 or cfg.bordered_h <= 0:
+        raise ConfigError("bordered.R must exceed 2 and bordered.h be positive")
+    if not cfg.measure_window_lo < cfg.measure_window_hi <= -5:
+        raise ConfigError("measure.window_lo < measure.window_hi <= -5 required")
 
 
 def _fmt(value) -> str:
@@ -329,10 +336,9 @@ def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:
 def _run_bordered(cfg: ExperimentConfig, out: str, log) -> None:
     p = cfg.model_params()
     spec = farfield.PartitionSpec(R=cfg.bordered_R)
-    eta = cfg.bordered_eta if cfg.bordered_eta > 0 else None
-    cc = farfield.solve_bordered(p, spec, eta=eta,
+    cc = farfield.solve_bordered(p, spec, eta=cfg.bordered_eta or None,
                                  half_width=cfg.bordered_half_width,
-                                 h=cfg.bordered_h, lam=cfg.bordered_ridge)
+                                 h=cfg.bordered_h)
     farfield.save_correction(cc, os.path.join(out, "core_correction"))
     log(f"bordered: psi={cc.psi:+.8f} residual={cc.weighted_residual:.2e} "
         f"iterations={cc.iterations}")

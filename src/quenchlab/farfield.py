@@ -5,8 +5,8 @@ blocks into a farfield approximation whose left sector encodes a nodal
 line of prescribed slope.  A shear transform straightens that sector so
 the oblique wave becomes x-independent far to the left; the equation in
 sheared coordinates, with the geometric frame speed substituted, defines
-a residual in the pair (core correction w, angle psi) that a weighted
-Gauss-Newton iteration drives to zero.
+a residual in the pair (core correction w, angle psi) that a bordered
+Newton iteration drives to zero at the least weighted norm of w.
 """
 from __future__ import annotations
 
@@ -331,7 +331,7 @@ def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
 
 
 # ---------------------------------------------------------------------------
-# bordered Gauss-Newton solve for (w, psi)
+# bordered Newton solve for (w, psi)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -344,11 +344,11 @@ class CoreCorrection:
     weighted_residual: float
     weight_rate: float
     iterations: int = 0
-    kkt_norm: float = 0.0
+    kkt_norm: float = 0.0  # cosine of W w and W dw/dpsi, 0 at the optimum
 
 
 def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
-                hx: float, hy: float, c_y: float) -> sp.csr_matrix:
+                hx: float, hy: float, c_y: float) -> sp.csc_matrix:
     """Sparse derivative of the interior residual with respect to interior w."""
     nxi = vi.shape[1]
     nyi = vi.shape[0]
@@ -383,11 +383,11 @@ def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
             (np.concatenate([d_du0, side, -side]),
              (np.tile(rows, 3), np.concatenate([rows, rows + 1, rows - 1]))),
             shape=A.shape)
-    return A.tocsr()
+    return A.tocsc()
 
 
-#: Gauss-Newton budget of solve_bordered: iterations, the max-norm step that
-#: ends them, the weighted residual it must reach, and the psi step of the
+#: Newton budget of solve_bordered: iterations, the max-norm step that ends
+#: them, the weighted residual it must reach, and the psi step of the
 #: centered difference that gives the psi column of the Jacobian
 _GN_MAX_ITER = 30
 _GN_STEP_TOL = 1e-8
@@ -397,14 +397,15 @@ _GN_FD_PSI = 1e-6
 
 def solve_bordered(p: ModelParams, spec: PartitionSpec,
                    eta: float | None = None, half_width: float = 30.0,
-                   h: float = 0.25, theta: Field2D | None = None,
-                   lam: float = 1e-5) -> CoreCorrection:
-    """Solve the sheared equation for (w, psi) by weighted Gauss-Newton.
+                   h: float = 0.25,
+                   theta: Field2D | None = None) -> CoreCorrection:
+    """Solve the sheared equation for (w, psi) by a bordered Newton iteration.
 
-    The objective is |e^{eta(|x|+|y|)} F|^2 plus a small ridge lam^2 on the
-    weighted core correction; the ridge selects the exponentially localized
-    representative on the discrete solution manifold and leaves the angle
-    insensitive to lam over several orders of magnitude.  The symmetric
+    On the Dirichlet box the Jacobian A in w is invertible, so F = 0 has a
+    solution w for every psi; the angle is the one whose solution is most
+    localized, the least |e^{eta(|x|+|y|)} w|.  Each iteration factors A
+    once, solves A a = -F and A b = dF/dpsi, and steps to w + a - dpsi b
+    with dpsi minimizing the weighted norm of that new w.  The symmetric
     zero-angle state seeds w, and psi starts at 0.
     """
     if eta is None:
@@ -433,34 +434,25 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
         return _sheared_residual_interior(v, psi_val, p, x, hx, hy,
                                           profiles.c_y(psi_val)), v
 
-    rn = np.inf
-    kkt = np.inf
     for it in range(_GN_MAX_ITER):
         r, v = interior_residual(w, psi)
-        rw = weight * r.ravel()
-        rn = np.linalg.norm(rw) * norm_scale
         rp, _ = interior_residual(w, psi + _GN_FD_PSI)
         rm, _ = interior_residual(w, psi - _GN_FD_PSI)
-        b = weight * ((rp - rm).ravel() / (2 * _GN_FD_PSI))
         A = _jacobian_w(v[1:-1, 1:-1], psi, p, x, hx, hy, profiles.c_y(psi))
-        Aw = sp.diags(weight) @ A @ sp.diags(1.0 / weight)
-        wv = weight * w[1:-1, 1:-1].ravel()
-        grad_v = Aw.T @ rw + lam**2 * wv
-        grad_psi = float(b @ rw)
-        kkt = float(np.hypot(np.linalg.norm(grad_v), grad_psi)) * norm_scale
-        M = (Aw.T @ Aw + lam**2 * sp.identity(Aw.shape[0])).tocsc()
         try:
-            lu = spla.splu(M)
+            lu = spla.splu(A)
         except RuntimeError as exc:
-            raise IllConditioned(f"normal-equation factorization failed: {exc}") from exc
-        z1 = lu.solve(-(Aw.T @ rw) - lam**2 * wv)
-        z2 = lu.solve(Aw.T @ b)
-        den = float(b @ b - b @ (Aw @ z2))
-        if not np.isfinite(den) or abs(den) < 1e-12 * max(float(b @ b), 1e-30):
-            raise IllConditioned(f"angle direction degenerate (Schur {den:.3e})")
-        dpsi = float((-(b @ rw) - b @ (Aw @ z1)) / den)
-        dv = z1 - z2 * dpsi
-        dw = (dv / weight).reshape(shape_i)
+            raise IllConditioned(f"Jacobian factorization failed: {exc}") from exc
+        a = lu.solve(-r.ravel())
+        b = lu.solve((rp - rm).ravel() / (2 * _GN_FD_PSI))
+        wb = weight * b
+        bb = float(wb @ wb)
+        if not np.isfinite(bb) or bb == 0.0:
+            raise IllConditioned(f"angle direction degenerate (|W b|^2 = {bb:.3e})")
+        ww = weight * w[1:-1, 1:-1].ravel()
+        kkt = abs(float(ww @ wb)) / (np.linalg.norm(ww) * np.sqrt(bb))
+        dpsi = float((ww + weight * a) @ wb) / bb
+        dw = (a - dpsi * b).reshape(shape_i)
         w[1:-1, 1:-1] += dw
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
@@ -475,7 +467,7 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
     wfield = template.copy_with(w)
     return CoreCorrection(w=wfield, psi=float(psi), alpha=p.alpha,
                           weighted_residual=rn, weight_rate=eta,
-                          iterations=it + 1, kkt_norm=kkt)
+                          iterations=it + 1, kkt_norm=float(kkt))
 
 
 def save_correction(cc: CoreCorrection, base_path: str):

@@ -31,6 +31,9 @@ def test_unknown_key_rejected(tmp_path):
     # solver.threads was never used and is gone; old manifests name it
     with pytest.raises(ConfigError, match="solver.threads"):
         apply_setting(ExperimentConfig(), "solver.threads", "1")
+    # the bordered solve has no ridge; old manifests name bordered.ridge
+    with pytest.raises(ConfigError, match="bordered.ridge"):
+        apply_setting(ExperimentConfig(), "bordered.ridge", "1e-5")
 
 
 def test_parse_config_with_comments(tmp_path):
@@ -131,6 +134,25 @@ def test_main_subcommands(tmp_path, capsys):
     rc = main(["profile", "--set", "bogus.key=1", "--out", str(tmp_path / "p")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, settings", [
+    ("bordered", ["bordered.eta=0.9"]),
+    ("bordered", ["bordered.eta=-0.1"]),
+    ("bordered", ["model.c_x=0"]),
+    ("bordered", ["bordered.R=2"]),
+    ("bordered", ["bordered.h=0"]),
+    ("sweep", ["measure.window_hi=-4"]),
+    ("sweep", ["measure.window_lo=-10", "measure.window_hi=-20"]),
+])
+def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
+    argv = [mode, "--out", str(tmp_path)]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "quenchlab: error:" in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_sweep_and_compare_end_to_end(tmp_path):

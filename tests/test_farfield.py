@@ -233,7 +233,9 @@ def test_bordered_angle_odd_in_alpha(bordered_small):
     minus = solve_bordered(pp.replace(alpha=-0.05), spec, **kw)
     assert plus.psi > 0.02
     assert plus.psi == pytest.approx(-minus.psi, rel=1e-6)
-    # first-order optimality of the weighted least-squares solve
+    # nothing holds the residual above round-off level
+    assert plus.weighted_residual < 1e-9
+    # psi gives the least weighted norm: W w is orthogonal to W dw/dpsi
     assert plus.kkt_norm < 1e-5
 
 
