@@ -205,12 +205,14 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
     guessed angle, then alternates short marching rounds with frame-speed
     corrections by the measured contact-point drift until the contact
     point is stationary; the angle is fitted on the final field's nodal
-    line in the left farfield.
+    line in the left farfield.  `converged` is true only when the drift
+    fell below measure.drift_tol within measure.max_rounds.
     """
     u = _step_initial_data(p, cfg)
     c_y = cy_from_angle(psi_seed, p, cfg.grid1d())
     drift = np.nan
     rate = np.nan
+    converged = False
     track_steps = int(np.ceil(12.0 / cfg.solver_dt))
     for rnd in range(cfg.measure_max_rounds):
         pp = p.replace(c_y=c_y)
@@ -227,12 +229,14 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
         rate = res.final_update_rate
         drift = measure_drift(rec.track())
         if abs(drift) < cfg.measure_drift_tol and rnd > 0:
+            converged = True
             break
         c_y += drift
     nodal = zero_level_set(u)
     m = fit_contact_angle(nodal, (cfg.measure_window_lo, cfg.measure_window_hi))
     return {"psi": m.psi, "phi": m.phi, "c_y": c_y, "drift": drift,
-            "measurement": m, "field": u, "update_rate": rate}
+            "measurement": m, "field": u, "update_rate": rate,
+            "converged": converged}
 
 
 def _melnikov_report(cfg: ExperimentConfig) -> melnikov.MelnikovReport:
@@ -317,7 +321,10 @@ def _run_sweep(cfg: ExperimentConfig, out: str, log) -> None:
             fh.write(f"{alpha:.17g},{result['psi']:.17g},{psi_pred:.17g},"
                      f"{result['drift']:.17g}\n")
         log(f"  alpha={alpha:+.3f}: psi={result['psi']:+.6f} "
-            f"(predicted {psi_pred:+.6f}) drift={result['drift']:+.2e}")
+            f"(predicted {psi_pred:+.6f}) drift={result['drift']:+.2e}"
+            + ("" if result["converged"] else
+               f" NOT CONVERGED: drift above {cfg.measure_drift_tol:g} "
+               f"after {cfg.measure_max_rounds} rounds"))
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:

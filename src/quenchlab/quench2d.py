@@ -2,18 +2,19 @@
 
 Semi-implicit (IMEX) time stepping for u_t = Lap(u) + c_x u_x + c_y u_y
 + mu(x) u - u^3 + alpha g(x, u) with homogeneous Neumann boundaries; the
-stiff linear transport part is implicit (one sparse factorization per
-stepper), the reaction explicit.  Steady states of the stepper solve the
-discrete elliptic comoving equation exactly.
+stiff linear transport part is implicit (solved exactly in a y eigenbasis
+with tridiagonal sweeps in x), the reaction explicit.  Steady states of the
+stepper solve the discrete elliptic comoving equation exactly.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import LinearSolveFailure, NonFinite, NotConverged
 from .model import (ModelParams, interface_correction, origin_index, poly_eval,
@@ -82,25 +83,34 @@ class SteadyResult:
     converged: bool
 
 
-def _neumann_laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0) / h**2
-    off = np.full(n - 1, 1.0) / h**2
-    lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, 1] = 2.0 / h**2       # ghost reflection
-    lap[n - 1, n - 2] = 2.0 / h**2
-    return lap.tocsr()
+def _neumann_transport_1d(n: int, h: float, c: float):
+    """Diagonals (sub, main, sup) of d2/ds2 + c d/ds on n nodes, Neumann ends.
+
+    The ghost-node reflection doubles the inward neighbour of the second
+    difference and cancels the centered first difference at both ends.
+    """
+    lap, d1 = 1.0 / h**2, 1.0 / (2.0 * h)
+    sub = np.full(n - 1, lap - c * d1)
+    sup = np.full(n - 1, lap + c * d1)
+    sub[-1] = sup[0] = 2.0 / h**2
+    return sub, np.full(n, -2.0 / h**2), sup
 
 
-def _neumann_d1_1d(n: int, h: float) -> sp.csr_matrix:
-    off = np.full(n - 1, 1.0) / (2.0 * h)
-    d1 = sp.diags([-off, off], [-1, 1], format="lil")
-    d1[0, 1] = 0.0               # reflection makes the boundary derivative zero
-    d1[n - 1, n - 2] = 0.0
-    return d1.tocsr()
+#: largest max(d)/min(d) of the y symmetrizer; it grows like e^{|c_y| L_y} and
+#: the round-off of the eigenbasis transforms grows with it
+SYMMETRIZER_RATIO_LIMIT = 1e8
 
 
 class SemiImplicitStepper:
-    """IMEX stepper bound to one geometry, parameter set, and time step."""
+    """IMEX stepper bound to one geometry, parameter set, and time step.
+
+    The implicit system (I - dt T) u = r, T = I_y (x) A_x + A_y (x) I_x, is
+    solved exactly by fast diagonalization (Lynch, Rice and Thomas 1964):
+    A_y = V diag(lam) V^-1 with V = D^-1 Q from the symmetric tridiagonal
+    D A_y D^-1 = Q diag(lam) Q^T, then one tridiagonal system
+    ((1 - dt lam_k) I - dt A_x) u_k = r_k per y mode k, all modes swept
+    together along x.
+    """
 
     def __init__(self, template: Field2D, p: ModelParams, dt: float,
                  include_reaction: bool = True):
@@ -112,20 +122,68 @@ class SemiImplicitStepper:
         self.nx, self.ny = template.nx, template.ny
         self.hx, self.hy = template.hx, template.hy
         self.x = template.x
-        lap_x = _neumann_laplacian_1d(self.nx, self.hx)
-        lap_y = _neumann_laplacian_1d(self.ny, self.hy)
-        dx1 = _neumann_d1_1d(self.nx, self.hx)
-        dy1 = _neumann_d1_1d(self.ny, self.hy)
-        ix, iy = sp.identity(self.nx), sp.identity(self.ny)
-        self.transport = (sp.kron(iy, lap_x + p.c_x * dx1)
-                          + sp.kron(lap_y + p.c_y * dy1, ix)).tocsr()
-        system = (sp.identity(self.nx * self.ny) - dt * self.transport).tocsc()
+        for axis, c, h in (("x", p.c_x, self.hx), ("y", p.c_y, self.hy)):
+            # below 2 the off-diagonals keep their sign: the symmetrizer
+            # exists and every x system is strictly diagonally dominant
+            if abs(c) * h >= 2.0:
+                raise LinearSolveFailure(
+                    f"cell Peclet number |c_{axis}| h_{axis} = {abs(c) * h:.3g} >= 2")
+        self._a_x = _neumann_transport_1d(self.nx, self.hx, p.c_x)
+        self._a_y = sub_y, main_y, sup_y = _neumann_transport_1d(
+            self.ny, self.hy, p.c_y)
+
+        # d_{i+1} / d_i = sqrt(sup_i / sub_{i+1}), accumulated in logs
+        log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sup_y / sub_y))))
+        spread = log_d.max() - log_d.min()
+        if spread > np.log(SYMMETRIZER_RATIO_LIMIT):
+            raise LinearSolveFailure(
+                f"y symmetrizer ratio e^{spread:.1f} exceeds "
+                f"{SYMMETRIZER_RATIO_LIMIT:.0e}: |c_y| L_y too large")
+        d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
         try:
-            self._solve = spla.factorized(system)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(str(exc)) from exc
+            lam, q = eigh_tridiagonal(main_y, np.sqrt(sub_y * sup_y))
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure(f"y eigendecomposition failed: {exc}") from exc
+        self._to_modes = q.T * d[None, :]      # V^-1 = Q^T D
+        self._from_modes = q / d[:, None]      # V = D^-1 Q
+
+        # Thomas coefficients of all mode systems at once, x outer, modes
+        # inner: row i holds 1 / pivot_i and sup_i / pivot_i of every mode
+        sub_x, main_x, sup_x = self._a_x
+        self._sub = -dt * sub_x
+        shift = 1.0 - dt * lam
+        pivot_inv = np.empty((self.nx, self.ny))
+        sup_scaled = np.empty((self.nx - 1, self.ny))
+        pivot_inv[0] = 1.0 / (shift - dt * main_x[0])
+        for i in range(1, self.nx):
+            sup_scaled[i - 1] = -dt * sup_x[i - 1] * pivot_inv[i - 1]
+            pivot_inv[i] = 1.0 / (shift - dt * main_x[i]
+                                  - self._sub[i - 1] * sup_scaled[i - 1])
+        self._pivot_inv, self._sup_scaled = pivot_inv, sup_scaled
         self.mu_bar = side_average(self.x, 1.0, -1.0)
         self.i0 = origin_index(self.x)
+
+    @cached_property
+    def transport(self) -> sp.csr_matrix:
+        """T = I_y (x) A_x + A_y (x) I_x as a sparse matrix on the raveled field."""
+        return (sp.kron(sp.identity(self.ny), sp.diags(self._a_x, [-1, 0, 1]))
+                + sp.kron(sp.diags(self._a_y, [-1, 0, 1]), sp.identity(self.nx))
+                ).tocsr()
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """u with (I - dt T) u = rhs, both (ny, nx) arrays."""
+        w = rhs.T @ self._to_modes.T           # (nx, ny): x outer, modes inner
+        pivot_inv, sup_scaled, sub = self._pivot_inv, self._sup_scaled, self._sub
+        tmp = np.empty(self.ny)
+        w[0] *= pivot_inv[0]
+        for i in range(1, self.nx):
+            np.multiply(w[i - 1], sub[i - 1], out=tmp)
+            w[i] -= tmp
+            w[i] *= pivot_inv[i]
+        for i in range(self.nx - 2, -1, -1):
+            np.multiply(w[i + 1], sup_scaled[i], out=tmp)
+            w[i] -= tmp
+        return self._from_modes @ w.T
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """Pointwise reaction with jump-consistent sampling at the x = 0 column."""
@@ -142,10 +200,11 @@ class SemiImplicitStepper:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         rhs = u + (self.dt * self.reaction(u) if self.include_reaction else 0.0)
-        out = self._solve(rhs.ravel()).reshape(u.shape)
-        if not np.isfinite(out).all():
+        out = self.solve(rhs)
+        peak = np.abs(out).max()               # NaN propagates through max
+        if not np.isfinite(peak):
             raise NonFinite("non-finite values after implicit solve")
-        if np.abs(out).max() > AMPLITUDE_CLAMP:
+        if peak > AMPLITUDE_CLAMP:
             raise NonFinite(f"amplitude exceeded {AMPLITUDE_CLAMP}")
         return out
 
@@ -237,9 +296,10 @@ def read_field(path: str) -> Field2D:
 
 def export_field_csv(u: Field2D, path: str):
     """Plain CSV (x, y, u) for plotting."""
+    xs = [f"{x:.17g}," for x in u.x.tolist()]
+    lines = ["x,y,u\n"]
+    for y, row in zip(u.y.tolist(), u.data.tolist()):
+        y_str = f"{y:.17g},"
+        lines.extend(f"{x}{y_str}{v:.17g}\n" for x, v in zip(xs, row))
     with open(path, "w") as fh:
-        fh.write("x,y,u\n")
-        xs, ys = u.x, u.y
-        for j in range(u.ny):
-            for i in range(u.nx):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{u.data[j, i]:.17g}\n")
+        fh.write("".join(lines))

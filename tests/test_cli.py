@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from quenchlab.cli import (ExperimentConfig, apply_setting, compare_prediction,
-                           main, parse_config, run, write_manifest)
+                           main, measure_steady_angle, parse_config, run,
+                           write_manifest)
 from quenchlab.errors import ConfigError, MissingBaseline
 
 
@@ -188,6 +189,24 @@ def test_sweep_unperturbed_is_flat(tmp_path):
     assert run(cfg, log=lambda *a: None) == 0
     summary = compare_prediction(str(tmp_path / "sweep.csv"))
     assert abs(summary["slope_measured"]) < 0.01
+
+
+def test_measurement_reports_convergence(tmp_path):
+    # the drift test needs a second round, so one round never converges
+    cfg = ExperimentConfig(mode="sweep", c_x=0.5, sweep_alphas=(0.0,),
+                           grid2d_half_width_x=24.0, grid2d_half_width_y=24.0,
+                           grid2d_h=0.5, measure_window_lo=-18.0,
+                           measure_window_hi=-7.0, measure_max_rounds=1,
+                           output_dir=str(tmp_path))
+    p = cfg.model_params()
+    assert measure_steady_angle(p, cfg)["converged"] is False
+    lines = []
+    assert run(cfg, log=lines.append) == 0
+    assert "NOT CONVERGED" in lines[-1] and "after 1 rounds" in lines[-1]
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [len(r.split(",")) for r in rows] == [4, 4]
+    cfg.measure_max_rounds = 2
+    assert measure_steady_angle(p, cfg)["converged"] is True
 
 
 def test_simulate_mode(tmp_path):

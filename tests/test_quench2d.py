@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from quenchlab.errors import NonFinite
+from quenchlab.errors import LinearSolveFailure, NonFinite
 from quenchlab.model import ModelParams, origin_index
 from quenchlab.profiles1d import Grid1D, solve_quench_front
 from quenchlab.quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
@@ -136,6 +138,37 @@ def test_amplitude_clamp():
         SemiImplicitStepper(f, ModelParams(), dt=0.2).step(f.data)
 
 
+def test_nan_field_fails_as_non_finite():
+    f = Field2D.on_rectangle(5.0, 5.0, 0.5)
+    f.data[3, 4] = np.nan
+    with pytest.raises(NonFinite, match="non-finite values"):
+        SemiImplicitStepper(f, ModelParams(), dt=0.2).step(f.data)
+
+
+@pytest.mark.parametrize("c_y", [0.0, 0.2, -0.2])
+def test_solve_matches_sparse_direct_solve(c_y):
+    # nx != ny and hx != hy, so a swapped axis cannot pass
+    f = Field2D(nx=41, ny=27, x0=-6.0, y0=-5.2, hx=0.3, hy=0.4)
+    dt = 0.25
+    stepper = SemiImplicitStepper(f, ModelParams(c_x=0.5, c_y=c_y), dt)
+    r = np.random.default_rng(5).uniform(-1.0, 1.0, f.data.shape)
+    system = (sp.identity(f.nx * f.ny) - dt * stepper.transport).tocsc()
+    want = spsolve(system, r.ravel()).reshape(r.shape)
+    got = stepper.solve(r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("c_x, c_y, half_y, match", [
+    (8.0, 0.0, 5.0, "cell Peclet"),     # |c_x| h = 2
+    (0.5, -8.0, 5.0, "cell Peclet"),
+    (0.5, 0.5, 50.0, "symmetrizer"),    # ratio ~ e^{|c_y| L_y} = e^25
+])
+def test_solve_guards_fail_typed(c_x, c_y, half_y, match):
+    f = Field2D.on_rectangle(5.0, half_y, 0.25)
+    with pytest.raises(LinearSolveFailure, match=match):
+        SemiImplicitStepper(f, ModelParams(c_x=c_x, c_y=c_y), dt=0.25)
+
+
 def test_field_io_roundtrip(tmp_path, rng):
     f = Field2D.on_rectangle(3.0, 2.0, 0.5)
     f.data[:] = rng.standard_normal(f.data.shape)
@@ -161,3 +194,10 @@ def test_field_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,u"
     assert len(lines) == 1 + f.nx * f.ny
+    # same bytes as formatting every node on its own
+    f = Field2D(nx=7, ny=4, x0=-0.9, y0=-0.3, hx=0.3, hy=0.1 / 3)
+    f.data[:] = np.random.default_rng(11).standard_normal(f.data.shape)
+    export_field_csv(f, str(path))
+    want = "x,y,u\n" + "".join(f"{f.x[i]:.17g},{f.y[j]:.17g},{f.data[j, i]:.17g}\n"
+                               for j in range(f.ny) for i in range(f.nx))
+    assert path.read_text() == want
