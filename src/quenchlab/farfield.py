@@ -18,9 +18,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from .errors import IllConditioned, NotConverged
-from .model import (ModelParams, interface_correction, interface_correction_jac,
-                    origin_index, poly_derivative, poly_eval, side_average,
-                    stable_zeros)
+from .model import (ModelParams, interface_correction_jac, origin_index,
+                    reaction, reaction_derivative, stable_zeros)
 from .profiles1d import (Grid1D, Profile1D, WaveSolution, solve_quench_front,
                          solve_traveling_wave)
 from .textio import write_entries
@@ -295,20 +294,12 @@ def _sheared_residual_interior(v: np.ndarray, psi: float, p: ModelParams,
     vx = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * hx)
     vy = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * hy)
     vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
-    vi = v[1:-1, 1:-1]
     xi = x[1:-1]
-    mu_bar = side_average(xi, 1.0, -1.0)
-    a = p.alpha
-    g = side_average(xi, poly_eval(p.g_left, vi), poly_eval(p.g_right, vi))
     Sx = shear_profile_d1(xi)[None, :]
     Sxx = shear_profile_d2(xi)[None, :]
-    r = (vxx + vyy + p.c_x * vx + c_y * vy + mu_bar[None, :] * vi
-         - vi**3 + a * g
-         + t * (2.0 * Sx * vxy + t * Sx**2 * vyy + (p.c_x * Sx + Sxx) * vy))
-    j0 = origin_index(xi)
-    if j0 is not None:
-        r[:, j0] -= interface_correction(vi[:, j0], vx[:, j0], p, hx, p.c_x)
-    return r
+    return (vxx + vyy + p.c_x * vx + c_y * vy
+            + t * (2.0 * Sx * vxy + t * Sx**2 * vyy + (p.c_x * Sx + Sxx) * vy)
+            + reaction(xi, v[1:-1, 1:-1], p, hx))
 
 
 def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
@@ -364,9 +355,7 @@ def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
     t = np.tan(psi)
     Sx = sp.diags(np.tile(shear_profile_d1(xi), nyi))
     Sxx = sp.diags(np.tile(shear_profile_d2(xi), nyi))
-    gp = side_average(xi, poly_eval(poly_derivative(p.g_left), vi),
-                      poly_eval(poly_derivative(p.g_right), vi))
-    q = side_average(xi, 1.0, -1.0)[None, :] - 3.0 * vi**2 + p.alpha * gp
+    q = reaction_derivative(xi, vi, p)
     A = (sp.kron(Iy, Dxx + p.c_x * Dx) + sp.kron(Dyy + c_y * Dy, Ix)
          + t * (2.0 * Sx @ sp.kron(Dy, Dx) + t * Sx @ Sx @ sp.kron(Dyy, Ix)
                 + (p.c_x * Sx + Sxx) @ sp.kron(Dy, Ix))

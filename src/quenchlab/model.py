@@ -77,29 +77,6 @@ class EquilibriumBranches:
     alpha: float
 
 
-def mu(x):
-    """Bistability switch: +1 for x < 0, -1 for x > 0; mu(0) = -1 (right-continuous)."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0, 1.0, -1.0)
-    return out if out.ndim else float(out)
-
-
-def g_of(x, u, p: ModelParams):
-    """Piecewise perturbation g(x, u): g_l for x < 0, g_r for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    gl = poly_eval(p.g_left, u)
-    gr = poly_eval(p.g_right, u)
-    out = np.where(x < 0, gl, gr)
-    return out if out.ndim else float(out)
-
-
-def reaction(x, u, p: ModelParams):
-    """Reaction term mu(x)*u - u^3 + alpha*g(x, u)."""
-    base = mu(x) * u - np.asarray(u, dtype=float) ** 3
-    out = base + p.alpha * g_of(x, u, p)
-    return out if np.ndim(out) else float(out)
-
-
 def potential_G(x, u, p: ModelParams):
     """Perturbation potential G(x, u) = -integral_0^u g(x, s) ds.
 
@@ -167,6 +144,34 @@ def interface_correction_jac(u0, ux, p: ModelParams, h, c_x):
     d_du0 = h * ((-c_x * d_jump_uxx - a * dgpp * ux) / 6.0 + c_x * d_jump_uxx / 4.0)
     d_dux = h * (2.0 - a * dgp) / 6.0
     return d_du0, d_dux
+
+
+def reaction(x, u, p: ModelParams, h):
+    """Discrete kinetics mu(x) u - u^3 + alpha g(x, u) on the grid nodes x.
+
+    x runs along the last axis of u, with spacing h.  On the x = 0 node mu
+    and g are side-averaged and the jump correction of centered stencils
+    (interface_correction, with the centered u_x) is subtracted.
+    """
+    r = side_average(x, 1.0, -1.0) * u - u * u * u
+    if p.alpha != 0.0 and (p.g_left or p.g_right):
+        r += p.alpha * side_average(x, poly_eval(p.g_left, u),
+                                    poly_eval(p.g_right, u))
+    i0 = origin_index(x)
+    if i0 is not None and 0 < i0 < len(x) - 1:
+        ux = (u[..., i0 + 1] - u[..., i0 - 1]) / (2.0 * h)
+        r[..., i0] -= interface_correction(u[..., i0], ux, p, h, p.c_x)
+    return r
+
+
+def reaction_derivative(x, u, p: ModelParams):
+    """Pointwise d/du of the kinetics, q = mu - 3 u^2 + alpha g'(u), sampled
+    like reaction; the jump correction's part is interface_correction_jac."""
+    q = side_average(x, 1.0, -1.0) - 3.0 * u**2
+    if p.alpha != 0.0 and (p.g_left or p.g_right):
+        q = q + p.alpha * side_average(x, poly_eval(poly_derivative(p.g_left), u),
+                                       poly_eval(poly_derivative(p.g_right), u))
+    return q
 
 
 def _newton_scalar(f, fp, x0, tol=_ZERO_TOL, max_iter=80):

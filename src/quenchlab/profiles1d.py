@@ -14,8 +14,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
-from .model import (ModelParams, interface_correction, interface_correction_jac,
-                    origin_index, poly_derivative, poly_eval, side_average,
+from .model import (ModelParams, interface_correction_jac, origin_index,
+                    poly_derivative, poly_eval, reaction, reaction_derivative,
                     stable_zeros)
 from .textio import write_entries
 
@@ -140,27 +140,18 @@ def solve_quench_front(side: str, p: ModelParams,
     branches = stable_zeros(p)
     left_val = branches.z_plus if side == "top" else branches.z_minus
     right_val = branches.z_zero
-    a = p.alpha
-
-    mu_bar = side_average(x, 1.0, -1.0)
-    gl, gr = p.g_left, p.g_right
-    glp, grp = poly_derivative(gl), poly_derivative(gr)
 
     def residual(u):
         r = np.zeros_like(u)
         r[1:-1] = ((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
                    + p.c_x * (u[2:] - u[:-2]) / (2.0 * h)
-                   + mu_bar[1:-1] * u[1:-1] - u[1:-1]**3
-                   + a * side_average(x, poly_eval(gl, u), poly_eval(gr, u))[1:-1])
-        ux = (u[i0 + 1] - u[i0 - 1]) / (2.0 * h)
-        r[i0] -= interface_correction(u[i0], ux, p, h, p.c_x)
+                   + reaction(x, u, p, h)[1:-1])
         return r
 
     def newton_matrix(u):
         lower = np.full(grid.n - 1, 1.0 / h**2 - p.c_x / (2.0 * h))
         upper = np.full(grid.n - 1, 1.0 / h**2 + p.c_x / (2.0 * h))
-        diag = (-2.0 / h**2 + mu_bar - 3.0 * u**2
-                + a * side_average(x, poly_eval(glp, u), poly_eval(grp, u)))
+        diag = -2.0 / h**2 + reaction_derivative(x, u, p)
         ux = (u[i0 + 1] - u[i0 - 1]) / (2.0 * h)
         d_du0, d_dux = interface_correction_jac(u[i0], ux, p, h, p.c_x)
         diag[i0] -= d_du0

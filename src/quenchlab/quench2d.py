@@ -17,8 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import LinearSolveFailure, NonFinite, NotConverged
-from .model import (ModelParams, interface_correction, origin_index, poly_eval,
-                    side_average)
+from .model import ModelParams, reaction
 
 #: fields must stay inside the bistable range; beyond this we call it blow-up
 AMPLITUDE_CLAMP = 2.0
@@ -160,8 +159,6 @@ class SemiImplicitStepper:
             pivot_inv[i] = 1.0 / (shift - dt * main_x[i]
                                   - self._sub[i - 1] * sup_scaled[i - 1])
         self._pivot_inv, self._sup_scaled = pivot_inv, sup_scaled
-        self.mu_bar = side_average(self.x, 1.0, -1.0)
-        self.i0 = origin_index(self.x)
 
     @cached_property
     def transport(self) -> sp.csr_matrix:
@@ -186,17 +183,8 @@ class SemiImplicitStepper:
         return self._from_modes @ w.T
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
-        """Pointwise reaction with jump-consistent sampling at the x = 0 column."""
-        p = self.p
-        r = self.mu_bar[None, :] * u - u**3
-        if p.alpha != 0.0 and (p.g_left or p.g_right):
-            r += p.alpha * side_average(self.x, poly_eval(p.g_left, u),
-                                        poly_eval(p.g_right, u))
-        if self.i0 is not None and 0 < self.i0 < self.nx - 1:
-            i0 = self.i0
-            ux = (u[:, i0 + 1] - u[:, i0 - 1]) / (2.0 * self.hx)
-            r[:, i0] -= interface_correction(u[:, i0], ux, p, self.hx, p.c_x)
-        return r
+        """The model's discrete kinetics on this grid."""
+        return reaction(self.x, u, self.p, self.hx)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         rhs = u + (self.dt * self.reaction(u) if self.include_reaction else 0.0)

@@ -16,7 +16,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import EigensolveFailure
 from .melnikov import dy_centered
-from .model import ModelParams, interface_correction, origin_index, side_average
+from .model import (ModelParams, interface_correction, origin_index,
+                    reaction_derivative)
 from .profiles1d import Grid1D, Profile1D
 from .quench2d import Field2D
 
@@ -47,9 +48,9 @@ def quench_front_operator(profile: Profile1D, c_x: float) -> LinearOperator1D:
     The bistability switch is sampled by its side-average at the x = 0
     node, matching the front solver's discretization.
     """
-    mu_bar = side_average(profile.grid.nodes(), 1.0, -1.0)
     return LinearOperator1D(grid=profile.grid, c_x=c_x,
-                            q=mu_bar - 3.0 * profile.values**2)
+                            q=reaction_derivative(profile.grid.nodes(),
+                                                  profile.values, _UNPERTURBED))
 
 
 def max_real_eig_1d(op: LinearOperator1D, endpoint_tol: float = 1e-5) -> float:
@@ -116,7 +117,7 @@ def kernel_check_2d(theta: Field2D, c_x: float, band: int = 3) -> KernelCheck:
     data = theta.data
     hx, hy = theta.hx, theta.hy
     x = theta.x
-    q_bar = side_average(x, 1.0, -1.0)[None, :] - 3.0 * data**2
+    q_bar = reaction_derivative(x, data, _UNPERTURBED)
 
     v = dy_centered(data, hy)
     weight = np.exp(c_x * x)[None, :]
@@ -150,7 +151,7 @@ def conjugation_defect(theta: Field2D, c_x: float, test: np.ndarray,
     data = theta.data
     hx, hy = theta.hx, theta.hy
     x = theta.x
-    q_bar = side_average(x, 1.0, -1.0)[None, :] - 3.0 * data**2
+    q_bar = reaction_derivative(x, data, _UNPERTURBED)
     weight = np.exp(c_x * x)[None, :]
     lhs = _apply_linearized(weight * test, q_bar, c_x, hx, hy, -1.0)
     rhs = weight[:, 1:-1] * _apply_linearized(test, q_bar, c_x, hx, hy, +1.0)

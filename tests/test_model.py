@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from quenchlab.errors import NoConvergence
-from quenchlab.model import (ModelParams, mu, origin_index,
-                             poly_antiderivative, poly_derivative, poly_eval,
-                             potential_G, reaction, side_average, stable_zeros)
-
-
-def test_mu_signs():
-    assert mu(-5.0) == 1.0
-    assert mu(3.0) == -1.0
-    assert mu(0.0) == -1.0  # right-continuous convention
-    np.testing.assert_array_equal(mu(np.array([-1.0, 0.0, 2.0])), [1.0, -1.0, -1.0])
+from quenchlab.model import (ModelParams, origin_index, poly_antiderivative,
+                             poly_derivative, potential_G, reaction,
+                             side_average, stable_zeros)
 
 
 def test_params_validation():
@@ -22,20 +15,23 @@ def test_params_validation():
 
 
 def test_reaction_examples():
+    x = np.array([-1.0, 1.0])
     p0 = ModelParams()
-    assert reaction(-1.0, 1.0, p0) == pytest.approx(0.0, abs=1e-15)
-    assert reaction(1.0, 0.0, p0) == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(reaction(x, np.array([1.0, 0.0]), p0, 2.0),
+                               [0.0, 0.0], rtol=0, atol=1e-15)
     p = ModelParams(alpha=0.2, g_right=(1.0,))
-    assert reaction(1.0, 0.0, p) == pytest.approx(0.2, abs=1e-15)
+    np.testing.assert_allclose(reaction(x, np.array([1.0, 0.0]), p, 2.0),
+                               [0.0, 0.2], rtol=0, atol=1e-15)
 
 
 def test_reaction_odd_symmetry(rng):
-    # for odd g on both sides the reaction is odd in u at fixed x
-    p = ModelParams(alpha=0.07, g_left=(0.0, 1.0), g_right=(0.0, -2.0, 0.0, 0.5))
-    u = rng.uniform(-1.5, 1.5, 200)
-    for x in (-2.0, 3.0):
-        np.testing.assert_allclose(reaction(x, -u, p), -reaction(x, u, p),
-                                   rtol=0, atol=1e-14)
+    # for odd g on both sides the reaction is odd in u, the x = 0 node too
+    p = ModelParams(c_x=0.5, alpha=0.07, g_left=(0.0, 1.0),
+                    g_right=(0.0, -2.0, 0.0, 0.5))
+    x = 0.5 * np.arange(-4, 5)
+    u = rng.uniform(-1.5, 1.5, (200, x.size))
+    np.testing.assert_allclose(reaction(x, -u, p, 0.5), -reaction(x, u, p, 0.5),
+                               rtol=0, atol=1e-14)
 
 
 def test_potential_examples():
@@ -85,9 +81,9 @@ def test_stable_zeros_quadratic_keeps_origin():
 def test_stable_zeros_residuals():
     p = ModelParams(g_left=(0.3, 0.0, 0.5), g_right=(1.0,))
     b = stable_zeros(p.replace(alpha=0.05))
-    assert abs(reaction(-1.0, b.z_minus, p.replace(alpha=0.05))) < 1e-12
-    assert abs(reaction(-1.0, b.z_plus, p.replace(alpha=0.05))) < 1e-12
-    assert abs(reaction(1.0, b.z_zero, p.replace(alpha=0.05))) < 1e-12
+    r = reaction(np.array([-1.0, -1.0, 1.0]),
+                 np.array([b.z_minus, b.z_plus, b.z_zero]), p.replace(alpha=0.05), 1.0)
+    assert np.abs(r).max() < 1e-12
 
 
 def test_stable_zeros_symmetric_for_odd_g(rng):
