@@ -4,7 +4,7 @@ import pytest
 from quenchlab.errors import NoConvergence
 from quenchlab.model import (ModelParams, origin_index, poly_antiderivative,
                              poly_derivative, potential_G, reaction,
-                             side_average, stable_zeros)
+                             reaction_derivative, side_average, stable_zeros)
 
 
 def test_params_validation():
@@ -32,6 +32,19 @@ def test_reaction_odd_symmetry(rng):
     u = rng.uniform(-1.5, 1.5, (200, x.size))
     np.testing.assert_allclose(reaction(x, -u, p, 0.5), -reaction(x, u, p, 0.5),
                                rtol=0, atol=1e-14)
+
+
+def test_reaction_derivative_matches_differences(rng):
+    # off x = 0 the kinetics are pointwise, so q is their d/du there
+    p = ModelParams(c_x=0.5, alpha=0.3, g_left=(0.2, -1.0, 0.5, 1.5),
+                    g_right=(-0.4, 0.7, 1.0, -2.0))
+    x = 0.25 * np.arange(-6, 7)
+    u = rng.uniform(-1.5, 1.5, (50, x.size))
+    d = 1e-6
+    fd = (reaction(x, u + d, p, 0.25) - reaction(x, u - d, p, 0.25)) / (2 * d)
+    off = x != 0.0
+    np.testing.assert_allclose(reaction_derivative(x, u, p)[:, off], fd[:, off],
+                               rtol=0, atol=1e-8)
 
 
 def test_potential_examples():
