@@ -51,21 +51,28 @@ def _smoothstep7_d2(t):
     return tc**2 * (420.0 + tc * (-1680.0 + tc * (2100.0 - 840.0 * tc)))
 
 
-def shear_cutoff(x):
-    """chi^-: 1 for x < -2, 0 for x > -1.
+#: width of the shear cutoff's ramp, which ends at x = -1
+SHEAR_RAMP_WIDTH = 4.0
 
-    Realized as a degree-7 (C^3) ramp: the sheared stencils differentiate
-    x*chi^- twice, and a C^3 cutoff keeps those terms second-order accurate.
+
+def shear_cutoff(x):
+    """chi^-: 1 for x < -5, 0 for x > -1.
+
+    Realized as a degree-7 (C^3) ramp of width SHEAR_RAMP_WIDTH: the sheared
+    stencils differentiate x*chi^- twice, and a C^3 cutoff spread over many
+    cells keeps those terms second-order accurate.
     """
-    return _smoothstep7(-1.0 - np.asarray(x, dtype=float))
+    return _smoothstep7((-1.0 - np.asarray(x, dtype=float)) / SHEAR_RAMP_WIDTH)
 
 
 def shear_cutoff_d1(x):
-    return -_smoothstep7_d1(-1.0 - np.asarray(x, dtype=float))
+    t = (-1.0 - np.asarray(x, dtype=float)) / SHEAR_RAMP_WIDTH
+    return -_smoothstep7_d1(t) / SHEAR_RAMP_WIDTH
 
 
 def shear_cutoff_d2(x):
-    return _smoothstep7_d2(-1.0 - np.asarray(x, dtype=float))
+    t = (-1.0 - np.asarray(x, dtype=float)) / SHEAR_RAMP_WIDTH
+    return _smoothstep7_d2(t) / SHEAR_RAMP_WIDTH**2
 
 
 def shear_profile_d1(x):
@@ -85,7 +92,8 @@ def shear_profile_d2(x):
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Core radius of the farfield partition; window ramps are fixed quintic."""
+    """Core radius R of the farfield partition: the farfield windows ramp up
+    over [R - RADIAL_RAMP_WIDTH, R] (quintic) and are fully on beyond R."""
 
     R: float = 12.0
 
@@ -108,8 +116,13 @@ def _window_angular(theta):
     return np.minimum(up, down)
 
 
+#: width of the radial window's ramp, which ends at the core radius R
+RADIAL_RAMP_WIDTH = 4.0
+
+
 def _window_radial(r, R):
-    return smoothstep_quintic(r - (R - 1.0))
+    """0 for r < R - RADIAL_RAMP_WIDTH, 1 for r > R, a quintic ramp between."""
+    return smoothstep_quintic((r - (R - RADIAL_RAMP_WIDTH)) / RADIAL_RAMP_WIDTH)
 
 
 def partition_of_unity(spec: PartitionSpec, x, y):
@@ -144,7 +157,7 @@ def partition_derivative_bound(spec: PartitionSpec, k: int,
     """
     if k not in (0, 1, 2):
         raise ValueError("derivative order k must be 0, 1, or 2")
-    r_lo = spec.R - 1.5 if r_min is None else r_min
+    r_lo = spec.R - RADIAL_RAMP_WIDTH - 0.5 if r_min is None else r_min
     r_hi = 10.0 * spec.R if r_max is None else r_max
     radii = np.linspace(r_lo, r_hi, 48)
     angles = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
@@ -180,7 +193,7 @@ def partition_derivative_bound(spec: PartitionSpec, k: int,
 
 @dataclass(frozen=True)
 class ShearSpec:
-    """Shear angle; the cutoff chi^- (1 for x<-2, 0 for x>-1) is fixed."""
+    """Shear angle; the cutoff chi^- (1 for x < -5, 0 for x > -1) is fixed."""
 
     psi: float
 

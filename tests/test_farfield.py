@@ -61,9 +61,9 @@ def test_shear_map_examples():
     s = ShearSpec(psi=np.pi / 6)
     xt, yt = shear_map(0.5, 7.0, s)
     assert (xt, yt) == (0.5, 7.0)  # cutoff vanishes for x > -1
-    xt, yt = shear_map(-3.0, 1.0, s)
-    assert xt == -3.0
-    assert yt == pytest.approx(1.0 - 3.0 * np.tan(np.pi / 6), abs=1e-15)
+    xt, yt = shear_map(-6.0, 1.0, s)  # fully sheared for x < -5
+    assert xt == -6.0
+    assert yt == pytest.approx(1.0 - 6.0 * np.tan(np.pi / 6), abs=1e-15)
     with pytest.raises(ValueError):
         ShearSpec(psi=2.0)
 
@@ -161,7 +161,7 @@ def test_residual_overlap_decreases_with_core_radius():
     for R in (20.0, 30.0, 40.0):
         spec = PartitionSpec(R=R)
         r = residual_F(w, 0.0, spec, profiles)
-        # keep one stencil width clear of the core-mollification ring [R-1, R]
+        # keep one stencil width clear of the core-mollification ring [R-4, R]
         ann = (rr >= R + 2 * h) & (rr <= 2 * R)
         sups.append(np.max(np.abs(r.data[ann])))
     assert sups[0] > sups[1] > sups[2]
@@ -237,6 +237,16 @@ def test_bordered_angle_odd_in_alpha(bordered_small):
     assert plus.weighted_residual < 1e-9
     # psi gives the least weighted norm: W w is orthogonal to W dw/dpsi
     assert plus.kkt_norm < 1e-5
+
+
+def test_bordered_angle_converges_in_h():
+    # the shear and radial ramps span several cells even at h = 0.5, so
+    # halving h moves psi by its O(h^2) error only (0.004; 0.058 with
+    # ramps of unit width)
+    p = ModelParams(c_x=0.5, alpha=0.1, g_right=(1.0,))
+    coarse, fine = (solve_bordered(p, PartitionSpec(R=7.0), half_width=14.0, h=h)
+                    for h in (0.5, 0.25))
+    assert abs(coarse.psi - fine.psi) <= 0.01
 
 
 def test_bordered_slope_matches_selection_integrals(theta_half_mid,
