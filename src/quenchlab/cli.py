@@ -153,8 +153,17 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("need 0 <= bordered.eta < model.c_x")
     if cfg.mode == "bordered" and cfg.c_x == 0:
         raise ConfigError("bordered mode needs model.c_x > 0")
-    if cfg.bordered_R <= 2 or cfg.bordered_h <= 0:
-        raise ConfigError("bordered.R must exceed 2 and bordered.h be positive")
+    for width, h in (("grid1d_half_width", "grid1d_h"),
+                     ("grid2d_half_width_x", "grid2d_h"),
+                     ("grid2d_half_width_y", "grid2d_h"),
+                     ("bordered_half_width", "bordered_h")):
+        if not getattr(cfg, h) > 0:
+            raise ConfigError(f"{_ATTR_TO_KEY[h]} must be positive")
+        if not getattr(cfg, width) >= getattr(cfg, h):
+            raise ConfigError(f"{_ATTR_TO_KEY[width]} must be at least "
+                              f"{_ATTR_TO_KEY[h]}")
+    if cfg.bordered_R <= 2:
+        raise ConfigError("bordered.R must exceed 2")
     if not cfg.measure_window_lo < cfg.measure_window_hi <= -5:
         raise ConfigError("measure.window_lo < measure.window_hi <= -5 required")
 

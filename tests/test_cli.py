@@ -145,6 +145,12 @@ def test_main_subcommands(tmp_path, capsys):
     ("bordered", ["bordered.h=0"]),
     ("sweep", ["measure.window_hi=-4"]),
     ("sweep", ["measure.window_lo=-10", "measure.window_hi=-20"]),
+    ("theta", ["grid2d.h=0"]),
+    ("theta", ["grid2d.h=-0.5"]),
+    ("theta", ["grid2d.half_width_x=0"]),
+    ("profile", ["grid1d.h=0"]),
+    ("profile", ["grid1d.half_width=0"]),
+    ("profile", ["grid1d.half_width=0.01"]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]
