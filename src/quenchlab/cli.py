@@ -18,13 +18,13 @@ import numpy as np
 
 from . import farfield, melnikov, spectral
 from .errors import ConfigError, MissingBaseline, QuenchLabError
-from .measure import (ContactRecorder, fit_contact_angle, measure_drift,
-                      zero_level_set)
-from .model import ModelParams, stable_zeros
+from .measure import ContactRecorder, fit_contact_angle, zero_level_set
+from .model import ModelParams, side_average, stable_zeros
 from .profiles1d import (Grid1D, cy_from_angle, export_profile,
                          solve_quench_front, solve_traveling_wave)
 from .quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
-                       run_to_steady, solve_theta, write_field)
+                       run_to_steady, solve_comoving_steady, solve_theta,
+                       write_field)
 from .textio import write_entries
 
 MODES = ("profile", "theta", "simulate", "melnikov", "sweep", "spectrum",
@@ -65,9 +65,6 @@ class ExperimentConfig:
     # angle measurement
     measure_window_lo: float = -35.0
     measure_window_hi: float = -10.0
-    measure_round_steps: int = 400
-    measure_max_rounds: int = 12
-    measure_drift_tol: float = 3e-4
     measure_steady_tol: float = 1e-7
     # compare
     compare_table: str = ""
@@ -151,8 +148,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("perturbation polynomials must have degree <= 3")
     if not 0 <= cfg.bordered_eta < max(cfg.c_x, 1e-12):
         raise ConfigError("need 0 <= bordered.eta < model.c_x")
-    if cfg.mode == "bordered" and cfg.c_x == 0:
-        raise ConfigError("bordered mode needs model.c_x > 0")
+    if cfg.mode in ("bordered", "sweep") and cfg.c_x == 0:
+        raise ConfigError(f"{cfg.mode} mode needs model.c_x > 0")
     for width, h in (("grid1d_half_width", "grid1d_h"),
                      ("grid2d_half_width_x", "grid2d_h"),
                      ("grid2d_half_width_y", "grid2d_h"),
@@ -191,61 +188,45 @@ def write_manifest(cfg: ExperimentConfig, path: str, timings: dict):
 
 
 # ---------------------------------------------------------------------------
-# steady-angle measurement (time marching with drift-corrected frame)
+# steady-angle measurement (a march, then the comoving steady solve)
 # ---------------------------------------------------------------------------
 
 def _step_initial_data(p: ModelParams, cfg: ExperimentConfig) -> Field2D:
     """Step data on the 2D grid: z_+ above and z_- below y = 0 left of the
-    quenching line, z_0 right of it."""
+    quenching line, their mean on the y = 0 row, z_0 right of the line.
+
+    The mean keeps the data odd under y -> -y when z_- = -z_+, so the runs
+    at +alpha and -alpha of an odd perturbation are mirror images."""
     branches = stable_zeros(p)
     template = Field2D.on_rectangle(cfg.grid2d_half_width_x,
                                     cfg.grid2d_half_width_y, cfg.grid2d_h)
+    left = side_average(template.y, branches.z_minus, branches.z_plus)
     return template.copy_with(
-        np.where(template.x[None, :] < 0,
-                 np.where(template.y[:, None] > 0, branches.z_plus, branches.z_minus),
-                 branches.z_zero))
+        np.where(template.x[None, :] < 0, left[:, None], branches.z_zero))
 
 
 def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
                          psi_seed: float = 0.0) -> dict:
-    """Measure the selected interface angle by comoving time marching.
+    """Measure the selected interface angle at the comoving steady state.
 
-    Seeds the vertical frame speed from the geometric speed relation at a
-    guessed angle, then alternates short marching rounds with frame-speed
-    corrections by the measured contact-point drift until the contact
-    point is stationary; the angle is fitted on the final field's nodal
-    line in the left farfield.  `converged` is true only when the drift
-    fell below measure.drift_tol within measure.max_rounds.
+    Marches step data in the frame whose c_y the geometric speed relation
+    assigns to the seed angle, until the wake has crossed the fit window
+    (t = |measure.window_lo| / c_x); then solves for the steady state and
+    its c_y together (quench2d.solve_comoving_steady) and fits the angle on
+    that field's nodal line in the left farfield.  Raises NotConverged when
+    the steady residual does not reach measure.steady_tol.
     """
-    u = _step_initial_data(p, cfg)
-    c_y = cy_from_angle(psi_seed, p, cfg.grid1d())
-    drift = np.nan
-    rate = np.nan
-    converged = False
-    track_steps = int(np.ceil(12.0 / cfg.solver_dt))
-    for rnd in range(cfg.measure_max_rounds):
-        pp = p.replace(c_y=c_y)
-        stepper = SemiImplicitStepper(u, pp, cfg.solver_dt)
-        res = run_to_steady(stepper, u, tol=cfg.measure_steady_tol,
-                            max_steps=cfg.measure_round_steps)
-        # fixed-length measurement leg: the drift fit needs a time span
-        # regardless of how quickly the relaxation round converged
-        rec = ContactRecorder(res.field)
-        res = run_to_steady(stepper, res.field, tol=0.0,
-                            max_steps=track_steps, recorder=rec,
-                            record_every=2)
-        u = res.field
-        rate = res.final_update_rate
-        drift = measure_drift(rec.track())
-        if abs(drift) < cfg.measure_drift_tol and rnd > 0:
-            converged = True
-            break
-        c_y += drift
-    nodal = zero_level_set(u)
-    m = fit_contact_angle(nodal, (cfg.measure_window_lo, cfg.measure_window_hi))
-    return {"psi": m.psi, "phi": m.phi, "c_y": c_y, "drift": drift,
-            "measurement": m, "field": u, "update_rate": rate,
-            "converged": converged}
+    u0 = _step_initial_data(p, cfg)
+    p = p.replace(c_y=cy_from_angle(psi_seed, p, cfg.grid1d()))
+    steps = int(np.ceil(abs(cfg.measure_window_lo) / p.c_x / cfg.solver_dt))
+    marched = run_to_steady(SemiImplicitStepper(u0, p, cfg.solver_dt), u0,
+                            tol=0.0, max_steps=steps)
+    state = solve_comoving_steady(marched.field, p, cfg.measure_steady_tol)
+    m = fit_contact_angle(zero_level_set(state.field),
+                          (cfg.measure_window_lo, cfg.measure_window_hi))
+    return {"psi": m.psi, "phi": m.phi, "c_y": state.c_y, "drift": state.drift,
+            "measurement": m, "field": state.field,
+            "update_rate": state.residual, "history": state.history}
 
 
 def _melnikov_report(cfg: ExperimentConfig) -> melnikov.MelnikovReport:
@@ -330,10 +311,9 @@ def _run_sweep(cfg: ExperimentConfig, out: str, log) -> None:
             fh.write(f"{alpha:.17g},{result['psi']:.17g},{psi_pred:.17g},"
                      f"{result['drift']:.17g}\n")
         log(f"  alpha={alpha:+.3f}: psi={result['psi']:+.6f} "
-            f"(predicted {psi_pred:+.6f}) drift={result['drift']:+.2e}"
-            + ("" if result["converged"] else
-               f" NOT CONVERGED: drift above {cfg.measure_drift_tol:g} "
-               f"after {cfg.measure_max_rounds} rounds"))
+            f"(predicted {psi_pred:+.6f}) drift={result['drift']:+.2e} "
+            f"residual={result['update_rate']:.1e} "
+            f"newton_steps={len(result['history'])}")
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:

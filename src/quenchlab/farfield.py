@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import brentq
 
 from .errors import IllConditioned, NotConverged
 from .model import (ModelParams, interface_correction_jac, origin_index,
@@ -256,6 +255,7 @@ def build_profiles(p: ModelParams, front_grid: Grid1D,
     wave = solve_traveling_wave(p, wave_grid)
     prof = wave.profile
     xs = prof.grid.nodes()
+    from scipy.optimize import brentq
     offset = brentq(lambda s: float(prof.values_at(s)), xs[0] / 2, xs[-1] / 2)
     if abs(offset) < 1e-9:
         offset = 0.0

@@ -19,9 +19,6 @@ class NodalLine:
     no_crossing_x: list = field(default_factory=list)
     multi_crossing_x: list = field(default_factory=list)
 
-    def points(self):
-        return list(zip(self.x, self.y))
-
 
 @dataclass
 class AngleMeasurement:
@@ -41,14 +38,6 @@ class ContactTrack:
 
     times: np.ndarray
     y_contact: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.y_contact = np.asarray(self.y_contact, dtype=float)
-        if self.times.size != self.y_contact.size:
-            raise ValueError("times and y_contact must have equal length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
 
 
 def _column_crossings(yv: np.ndarray, col: np.ndarray) -> list:
@@ -110,20 +99,6 @@ def fit_contact_angle(nodal: NodalLine, window: tuple) -> AngleMeasurement:
     psi = float(np.arctan(-slope))
     return AngleMeasurement(psi=psi, phi=np.pi / 2 + psi, slope=slope,
                             fit_window=(lo, hi), rms_fit_error=rms, n_points=n)
-
-
-def measure_drift(track: ContactTrack) -> float:
-    """Least-squares vertical speed of the contact point.
-
-    In the correctly chosen comoving frame the drift is close to zero.
-    """
-    if track.times.size < 10:
-        raise InsufficientPoints(f"need >= 10 samples, got {track.times.size}")
-    if track.times[-1] - track.times[0] < 10.0:
-        raise InsufficientPoints("track must span a time interval >= 10")
-    t = track.times - track.times.mean()
-    return float(np.sum(t * (track.y_contact - track.y_contact.mean()))
-                 / np.sum(t * t))
 
 
 class ContactRecorder:

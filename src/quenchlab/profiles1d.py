@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
@@ -84,6 +83,7 @@ class Profile1D:
     def values_at(self, x, tail_tol: float = 1e-6):
         """Cubic interpolation; beyond the grid, converged tails extend by their limits."""
         if self._spline is None:
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(self.grid.nodes(), self.values)
         x = np.asarray(x, dtype=float)
         lo, hi = self.grid.x_min, self.grid.x_max

@@ -15,9 +15,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import LinearSolveFailure, NonFinite, NotConverged
-from .model import ModelParams, reaction
+from .model import (ModelParams, interface_correction_jac, origin_index,
+                    reaction, reaction_derivative)
 
 #: fields must stay inside the bistable range; beyond this we call it blow-up
 AMPLITUDE_CLAMP = 2.0
@@ -111,13 +113,11 @@ class SemiImplicitStepper:
     together along x.
     """
 
-    def __init__(self, template: Field2D, p: ModelParams, dt: float,
-                 include_reaction: bool = True):
+    def __init__(self, template: Field2D, p: ModelParams, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.p = p
         self.dt = dt
-        self.include_reaction = include_reaction
         self.nx, self.ny = template.nx, template.ny
         self.hx, self.hy = template.hx, template.hy
         self.x = template.x
@@ -187,8 +187,7 @@ class SemiImplicitStepper:
         return reaction(self.x, u, self.p, self.hx)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        rhs = u + (self.dt * self.reaction(u) if self.include_reaction else 0.0)
-        out = self.solve(rhs)
+        out = self.solve(u + self.dt * self.reaction(u))
         peak = np.abs(out).max()               # NaN propagates through max
         if not np.isfinite(peak):
             raise NonFinite("non-finite values after implicit solve")
@@ -199,7 +198,7 @@ class SemiImplicitStepper:
     def elliptic_residual(self, u: np.ndarray) -> np.ndarray:
         """Discrete steady residual Lap u + c.grad u + reaction(u)."""
         lin = (self.transport @ u.ravel()).reshape(u.shape)
-        return lin + (self.reaction(u) if self.include_reaction else 0.0)
+        return lin + self.reaction(u)
 
 
 def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
@@ -230,6 +229,102 @@ def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
             break
     return SteadyResult(field=u0.copy_with(u), steps=steps,
                         final_update_rate=rate, converged=rate < tol)
+
+
+#: solve_comoving_steady: the time step of Phi, the Newton budget, GMRES
+#: restart length, relative tolerance and restart cycles, and step halvings
+_NK_DT = 2.0
+_NK_MAX_ITER = 30
+_NK_RESTART = 40
+_NK_RTOL = 1e-3
+_NK_MAX_CYCLES = 10
+_NK_MAX_HALVINGS = 10
+
+
+@dataclass
+class ComovingSteadyState:
+    """A steady field, its frame speed c_y, its residual max|Phi(u) - u| / dt,
+    the contact-point speed that residual implies, and the residual and
+    GMRES iterations after each Newton step."""
+
+    field: Field2D
+    c_y: float
+    residual: float
+    drift: float
+    history: list
+
+
+def solve_comoving_steady(u0: Field2D, p: ModelParams,
+                          tol: float) -> ComovingSteadyState:
+    """Steady state in the frame moving at the unknown vertical speed c_y.
+
+    Newton's method on Phi(u) - u = 0, Phi the IMEX map at dt = _NK_DT,
+    whose fixed points are the zeros of the elliptic residual (Tuckerman and
+    Barkley 2000), for (u, c_y) from (u0, p.c_y).  The extra equation is
+    u = 0 at the x = 0 node where |u0| is least, next to the contact point;
+    u0's grid must have x = 0 as an interior node.
+    GMRES solves each bordered Newton system; a step is halved until the
+    2-norm of the bordered residual falls.  Raises NotConverged unless
+    max|Phi(u) - u| / dt reaches tol within _NK_MAX_ITER Newton steps.
+    """
+    x, hx, hy, i0 = u0.x, u0.hx, u0.hy, origin_index(u0.x)
+    j0 = int(np.abs(u0.data[:, i0]).argmin())
+    shape, n, phase = u0.data.shape, u0.data.size, j0 * u0.nx + i0
+
+    def evaluate(u, c_y):
+        """Phi(u) at c_y with its stepper, the steady residual, and the
+        2-norm of the bordered residual."""
+        stepper = SemiImplicitStepper(u0, p.replace(c_y=c_y), _NK_DT)
+        phi = stepper.step(u)
+        return (stepper, phi, np.abs(phi - u).max() / _NK_DT,
+                np.hypot(np.linalg.norm(phi - u), u.flat[phase]))
+
+    u, c_y, history = u0.data, p.c_y, []
+    stepper, phi, res, merit = evaluate(u, c_y)
+    while res > tol:
+        if len(history) == _NK_MAX_ITER:
+            raise NotConverged(f"steady residual {res:.2e} > {tol} after "
+                               f"{_NK_MAX_ITER} Newton steps")
+        # dPhi/du v = solve(v + dt R'(u) v): R' is q, with the jump
+        # correction's derivatives on the x = 0 column
+        q = reaction_derivative(x, u, p)
+        ux = (u[:, i0 + 1] - u[:, i0 - 1]) / (2.0 * hx)
+        d_du0, d_dux = interface_correction_jac(u[:, i0], ux, p, hx, p.c_x)
+        q[:, i0] -= d_du0
+        # dPhi/dc_y = solve(dt D_y Phi(u)), D_y zero on its Neumann end rows
+        dphi_dy = np.zeros(shape)
+        dphi_dy[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * hy)
+        b = stepper.solve(_NK_DT * dphi_dy).ravel()
+
+        def matvec(z):
+            v = z[:n].reshape(shape)
+            r = q * v
+            r[:, i0] -= d_dux * (v[:, i0 + 1] - v[:, i0 - 1]) / (2.0 * hx)
+            jv = stepper.solve(v + _NK_DT * r) - v
+            return np.append(jv.ravel() + z[n] * b, z[phase])
+
+        iterations = []
+        dz, _ = gmres(LinearOperator((n + 1, n + 1), matvec, dtype=float),
+                      np.append((u - phi).ravel(), -u.flat[phase]),
+                      rtol=_NK_RTOL, restart=_NK_RESTART, maxiter=_NK_MAX_CYCLES,
+                      callback=iterations.append, callback_type="pr_norm")
+        du, dc = dz[:n].reshape(shape), dz[n]
+        for step in 0.5 ** np.arange(_NK_MAX_HALVINGS + 1):
+            try:
+                stepper, phi, res, trial = evaluate(u + step * du, c_y + step * dc)
+            except NonFinite:
+                continue
+            if trial < merit:
+                break
+        else:
+            raise NotConverged(f"{_NK_MAX_HALVINGS} halvings of a Newton step "
+                               "did not lower the residual")
+        u, c_y, merit = u + step * du, c_y + step * dc, trial
+        history.append((float(res), len(iterations)))
+    u_y = (u[j0 + 1, i0] - u[j0 - 1, i0]) / (2.0 * hy)
+    drift = (u[j0, i0] - phi[j0, i0]) / (_NK_DT * u_y)
+    return ComovingSteadyState(u0.copy_with(u), float(c_y), float(res),
+                               float(drift), history)
 
 
 def solve_theta(c_x: float, half_width_x: float = 60.0, half_width_y: float = 60.0,

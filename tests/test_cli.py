@@ -1,13 +1,18 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from quenchlab import quench2d
 from quenchlab.cli import (ExperimentConfig, apply_setting, compare_prediction,
                            main, measure_steady_angle, parse_config, run,
                            write_manifest)
-from quenchlab.errors import ConfigError, MissingBaseline
+from quenchlab.errors import ConfigError, MissingBaseline, NotConverged
+from quenchlab.quench2d import SemiImplicitStepper
 
 
 def test_apply_setting_types():
@@ -35,6 +40,10 @@ def test_unknown_key_rejected(tmp_path):
     # the bordered solve has no ridge; old manifests name bordered.ridge
     with pytest.raises(ConfigError, match="bordered.ridge"):
         apply_setting(ExperimentConfig(), "bordered.ridge", "1e-5")
+    # the drift rounds are gone with their three keys
+    for key in ("measure.round_steps", "measure.max_rounds", "measure.drift_tol"):
+        with pytest.raises(ConfigError, match=key):
+            apply_setting(ExperimentConfig(), key, "1")
 
 
 def test_parse_config_with_comments(tmp_path):
@@ -151,6 +160,7 @@ def test_main_subcommands(tmp_path, capsys):
     ("profile", ["grid1d.h=0"]),
     ("profile", ["grid1d.half_width=0"]),
     ("profile", ["grid1d.half_width=0.01"]),
+    ("sweep", ["model.c_x=0", "sweep.alphas=0"]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]
@@ -197,22 +207,54 @@ def test_sweep_unperturbed_is_flat(tmp_path):
     assert abs(summary["slope_measured"]) < 0.01
 
 
-def test_measurement_reports_convergence(tmp_path):
-    # the drift test needs a second round, so one round never converges
-    cfg = ExperimentConfig(mode="sweep", c_x=0.5, sweep_alphas=(0.0,),
-                           grid2d_half_width_x=24.0, grid2d_half_width_y=24.0,
-                           grid2d_h=0.5, measure_window_lo=-18.0,
-                           measure_window_hi=-7.0, measure_max_rounds=1,
-                           output_dir=str(tmp_path))
-    p = cfg.model_params()
-    assert measure_steady_angle(p, cfg)["converged"] is False
-    lines = []
-    assert run(cfg, log=lines.append) == 0
-    assert "NOT CONVERGED" in lines[-1] and "after 1 rounds" in lines[-1]
-    rows = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert [len(r.split(",")) for r in rows] == [4, 4]
-    cfg.measure_max_rounds = 2
-    assert measure_steady_angle(p, cfg)["converged"] is True
+#: a 97^2 sweep grid whose march is 144 steps
+_SMALL_SWEEP = ["--set", "grid2d.half_width_x=24", "--set", "grid2d.half_width_y=24",
+                "--set", "grid2d.h=0.5", "--set", "measure.window_lo=-18",
+                "--set", "measure.window_hi=-7"]
+
+
+def _small_sweep_config(**kw) -> ExperimentConfig:
+    cfg = ExperimentConfig(mode="sweep", **kw)
+    for item in _SMALL_SWEEP[1::2]:
+        apply_setting(cfg, *item.split("="))
+    return cfg
+
+
+def test_measurement_reports_convergence(tmp_path, monkeypatch, capsys):
+    # one Newton step does not reach measure.steady_tol: a typed failure,
+    # and the sweep exits 1 instead of writing an unsteady angle
+    monkeypatch.setattr(quench2d, "_NK_MAX_ITER", 1)
+    cfg = _small_sweep_config(g_right=(1.0,))
+    with pytest.raises(NotConverged, match="after 1 Newton steps"):
+        measure_steady_angle(cfg.model_params(alpha=0.02), cfg, psi_seed=0.034)
+    assert main(["sweep", "--out", str(tmp_path), "--set", "model.g_right=1",
+                 "--set", "sweep.alphas=0.02"] + _SMALL_SWEEP) == 1
+    err = capsys.readouterr().err
+    assert "quenchlab: error: steady residual" in err and "Traceback" not in err
+
+
+def test_measured_field_is_steady():
+    # one more step at solver.dt moves the field the angle is fitted on by
+    # at most measure.steady_tol (the drift rounds left it moving by 1e-5)
+    cfg = _small_sweep_config(g_right=(1.0,))
+    p = cfg.model_params(alpha=0.02)
+    result = measure_steady_angle(p, cfg, psi_seed=0.034)
+    u = result["field"].data
+    stepper = SemiImplicitStepper(result["field"], p.replace(c_y=result["c_y"]),
+                                  cfg.solver_dt)
+    assert np.abs(stepper.step(u) - u).max() <= cfg.measure_steady_tol
+    assert result["update_rate"] <= cfg.measure_steady_tol
+    assert result["history"] and result["history"][-1][0] == result["update_rate"]
+
+
+def test_cli_import_leaves_out_unused_scipy_modules():
+    code = ("import sys, quenchlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+    src = os.path.dirname(os.path.dirname(quench2d.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_mode(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from quenchlab.errors import InsufficientPoints, NoCrossing
-from quenchlab.measure import (ContactRecorder, ContactTrack, fit_contact_angle,
-                               measure_drift, zero_level_set)
+from quenchlab.measure import ContactRecorder, fit_contact_angle, zero_level_set
 from quenchlab.quench2d import Field2D
 
 
@@ -78,53 +77,31 @@ def test_angle_flips_under_reflection():
     assert m2.psi == pytest.approx(-m1.psi, abs=1e-14)
 
 
-def test_measure_drift_linear_track():
-    t = np.linspace(0.0, 20.0, 41)
-    track = ContactTrack(times=t, y_contact=0.37 * t - 1.0)
-    assert measure_drift(track) == pytest.approx(0.37, abs=1e-13)
-
-
-def test_measure_drift_guards():
-    with pytest.raises(InsufficientPoints):
-        measure_drift(ContactTrack(times=np.arange(5.0),
-                                   y_contact=np.zeros(5)))
-    with pytest.raises(InsufficientPoints):
-        measure_drift(ContactTrack(times=np.linspace(0, 5, 12),
-                                   y_contact=np.zeros(12)))
-    with pytest.raises(ValueError):
-        ContactTrack(times=np.array([0.0, 0.0, 1.0]), y_contact=np.zeros(3))
-
-
 def test_contact_recorder():
     f = field_from(lambda X, Y: Y, half=5.0, h=0.5)
     rec = ContactRecorder(f)
     for k in range(12):
         rec(k, 2.0 * k, f.data + 0.1 * k)  # creeping offset
     track = rec.track()
-    assert track.times.size == 12
-    assert measure_drift(track) == pytest.approx(-0.05, abs=1e-12)
+    np.testing.assert_array_equal(track.times, 2.0 * np.arange(12))
+    np.testing.assert_allclose(track.y_contact, -0.1 * np.arange(12), atol=1e-14)
 
 
 def test_drift_in_static_frame_matches_geometric_speed():
-    # marching with c_y = 0 leaves the pattern drifting at the frame speed
-    # the geometric relation assigns to the measured angle
+    # in a static frame the comoving steady state drifts at its frame speed
+    # c_y, which the geometric relation assigns to the measured angle
+    from quenchlab.cli import ExperimentConfig, measure_steady_angle
     from quenchlab.model import ModelParams
     from quenchlab.profiles1d import Grid1D, cy_from_angle
-    from quenchlab.quench2d import Field2D, SemiImplicitStepper, run_to_steady
 
     p = ModelParams(c_x=0.5, alpha=0.1, g_left=(1.0,))
-    f = Field2D.on_rectangle(50.0, 50.0, 0.5)
-    f.data[:] = np.where(f.x[None, :] < 0,
-                         np.where(f.y[:, None] > 0, 1.0, -1.0), 0.0)
-    stepper = SemiImplicitStepper(f, p, dt=0.25)
-    res = run_to_steady(stepper, f, tol=0.0, max_steps=160)
-    rec = ContactRecorder(res.field)
-    res = run_to_steady(stepper, res.field, tol=0.0, max_steps=80,
-                        recorder=rec, record_every=2)
-    drift = measure_drift(rec.track())
-    m = fit_contact_angle(zero_level_set(res.field), (-25.0, -8.0))
-    predicted = cy_from_angle(m.psi, p, Grid1D.symmetric(30.0, 0.01))
-    assert abs(drift - predicted) / abs(predicted) < 0.10
+    cfg = ExperimentConfig(c_x=0.5, grid2d_half_width_x=50.0,
+                           grid2d_half_width_y=50.0, grid2d_h=0.5,
+                           solver_dt=0.25, measure_window_lo=-25.0,
+                           measure_window_hi=-8.0)
+    result = measure_steady_angle(p, cfg)
+    predicted = cy_from_angle(result["psi"], p, Grid1D.symmetric(30.0, 0.01))
+    assert abs(result["c_y"] - predicted) / abs(predicted) < 0.10
 
 
 def test_theta_angle_is_zero(theta_half_small):

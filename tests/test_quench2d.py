@@ -39,17 +39,17 @@ def test_step_preserves_y_independence(rng):
 
 
 def test_pure_diffusion_matches_heat_kernel():
-    # reaction disabled: compare against the free-space heat solution
+    # implicit solves alone: compare against the free-space heat solution
     h, dt, s0 = 0.25, 0.0025, 2.0
     f = Field2D.on_rectangle(20.0, 20.0, h)
     X, Y = np.meshgrid(f.x, f.y)
     r2 = X**2 + Y**2
     f.data[:] = np.exp(-r2 / (4 * s0))
-    stepper = SemiImplicitStepper(f, ModelParams(), dt, include_reaction=False)
+    stepper = SemiImplicitStepper(f, ModelParams(), dt)
     u = f.data
     worst = 0.0
     for k in range(1, 401):
-        u = stepper.step(u)
+        u = stepper.solve(u)
         if k % 80 == 0:
             t = k * dt
             exact = (s0 / (s0 + t)) * np.exp(-r2 / (4 * (s0 + t)))
