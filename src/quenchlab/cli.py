@@ -337,7 +337,7 @@ def _run_bordered(cfg: ExperimentConfig, out: str, log) -> None:
                                  h=cfg.bordered_h)
     farfield.save_correction(cc, os.path.join(out, "core_correction"))
     log(f"bordered: psi={cc.psi:+.8f} residual={cc.weighted_residual:.2e} "
-        f"iterations={cc.iterations}")
+        f"iterations={cc.iterations} fill={cc.history[-1][3]}")
 
 
 def compare_prediction(table_path: str) -> dict:

@@ -10,7 +10,7 @@ Newton iteration drives to zero at the least weighted norm of w.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,7 +92,8 @@ def shear_profile_d2(x):
 @dataclass(frozen=True)
 class PartitionSpec:
     """Core radius R of the farfield partition: the farfield windows ramp up
-    over [R - RADIAL_RAMP_WIDTH, R] (quintic) and are fully on beyond R."""
+    over [max(R - RADIAL_RAMP_WIDTH, 0), R] (quintic) and are fully on
+    beyond R."""
 
     R: float = 12.0
 
@@ -120,8 +121,13 @@ RADIAL_RAMP_WIDTH = 4.0
 
 
 def _window_radial(r, R):
-    """0 for r < R - RADIAL_RAMP_WIDTH, 1 for r > R, a quintic ramp between."""
-    return smoothstep_quintic((r - (R - RADIAL_RAMP_WIDTH)) / RADIAL_RAMP_WIDTH)
+    """0 for r < R - RADIAL_RAMP_WIDTH, 1 for r > R, a quintic ramp between.
+
+    A core smaller than the ramp starts it at the origin instead, so the
+    farfield windows vanish where the angular windows meet.
+    """
+    width = min(R, RADIAL_RAMP_WIDTH)
+    return smoothstep_quintic((r - (R - width)) / width)
 
 
 def partition_of_unity(spec: PartitionSpec, x, y):
@@ -349,6 +355,9 @@ class CoreCorrection:
     weight_rate: float
     iterations: int = 0
     kkt_norm: float = 0.0  # cosine of W w and W dw/dpsi, 0 at the optimum
+    #: per iteration: weighted residual at its start, kkt cosine, max-norm
+    #: step, and the L+U nonzeros of its factorization
+    history: list[tuple[float, float, float, int]] = field(default_factory=list)
 
 
 def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
@@ -430,6 +439,10 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
     weight = np.exp(eta * (np.abs(X) + np.abs(Y)))[1:-1, 1:-1].ravel()
     norm_scale = np.sqrt(hx * hy)
     shape_i = (template.ny - 2, template.nx - 2)
+    history = []
+
+    def weighted_norm(res):
+        return float(np.linalg.norm(weight * res.ravel()) * norm_scale)
 
     def interior_residual(wfull, psi_val):
         v = ansatz_sheared(X, Y, psi_val, profiles, spec) + wfull
@@ -442,7 +455,10 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
         rm, _ = interior_residual(w, psi - _GN_FD_PSI)
         A = _jacobian_w(v[1:-1, 1:-1], psi, p, x, hx, hy, profiles.c_y(psi))
         try:
-            lu = spla.splu(A)
+            # A's stored pattern is the symmetric 9-point stencil, so minimum
+            # degree on A^T + A orders it with about half the fill of the
+            # default COLAMD on A^T A
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise IllConditioned(f"Jacobian factorization failed: {exc}") from exc
         a = lu.solve(-r.ravel())
@@ -458,10 +474,11 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
         w[1:-1, 1:-1] += dw
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
+        history.append((weighted_norm(r), kkt, float(step), lu.nnz))
         if step < _GN_STEP_TOL:
             break
     r, _ = interior_residual(w, psi)
-    rn = float(np.linalg.norm(weight * r.ravel()) * norm_scale)
+    rn = weighted_norm(r)
     if rn > _GN_RESIDUAL_TARGET:
         raise NotConverged(
             f"weighted residual {rn:.3e} above target {_GN_RESIDUAL_TARGET} "
@@ -469,7 +486,8 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
     wfield = template.copy_with(w)
     return CoreCorrection(w=wfield, psi=float(psi), alpha=p.alpha,
                           weighted_residual=rn, weight_rate=eta,
-                          iterations=it + 1, kkt_norm=float(kkt))
+                          iterations=it + 1, kkt_norm=float(kkt),
+                          history=history)
 
 
 def save_correction(cc: CoreCorrection, base_path: str):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from quenchlab.farfield import (PartitionSpec,
+from quenchlab.farfield import (_GN_STEP_TOL, PartitionSpec,
                                 ShearSpec, _jacobian_w, _sheared_residual_interior,
                                 ansatz_sheared, build_profiles,
                                 farfield_ansatz, partition_derivative_bound,
@@ -42,6 +43,16 @@ def test_partition_values_in_unit_interval(rng):
     for part in partition_of_unity(SPEC, pts[:, 0], pts[:, 1]):
         # chi_0 = 1 - sum can undershoot zero by accumulated rounding
         assert np.all(part >= -5e-14) and np.all(part <= 1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("R", [2.5, 3.0])
+def test_partition_continuous_at_origin(R):
+    # a core smaller than the radial ramp must still switch the farfield
+    # windows off at the origin, where the four angular windows meet
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    x, y = 1e-9 * np.cos(angles), 1e-9 * np.sin(angles)
+    parts = partition_of_unity(PartitionSpec(R=R), x, y)
+    assert np.max(np.abs(np.stack(parts[:4]))) < 1e-12
 
 
 def test_partition_derivative_bounds():
@@ -210,19 +221,52 @@ def bordered_small():
     return p, spec, kw
 
 
-def test_bordered_symmetric_state(bordered_small):
+@pytest.fixture(scope="module")
+def bordered_zero(bordered_small):
     p, spec, kw = bordered_small
-    cc = solve_bordered(p, spec, **kw)
+    return solve_bordered(p, spec, **kw)
+
+
+def _small_profiles(p):
+    # the 1D grids solve_bordered builds at half-width 20
+    return build_profiles(p, Grid1D.symmetric(20.0, 0.02),
+                          Grid1D.symmetric(32.0, 0.02))
+
+
+def test_bordered_symmetric_state(bordered_small, bordered_zero):
+    p, spec, kw = bordered_small
+    cc = bordered_zero
     assert abs(cc.psi) < 1e-6
     assert cc.weighted_residual < 1e-6
     assert cc.w.data[0, :].max() == 0.0  # zero boundary values
     # the correction reproduces the symmetric state minus the ansatz
     X, Y = np.meshgrid(cc.w.x, cc.w.y)
-    profiles = build_profiles(p, Grid1D.symmetric(20.0, 0.02),
-                              Grid1D.symmetric(32.0, 0.02))
-    w_ref = kw["theta"].data - ansatz_sheared(X, Y, 0.0, profiles, spec)
+    w_ref = kw["theta"].data - ansatz_sheared(X, Y, 0.0, _small_profiles(p),
+                                              spec)
     inner = np.s_[8:-8, 8:-8]
     assert np.max(np.abs(cc.w.data[inner] - w_ref[inner])) < 0.02
+
+
+def test_bordered_history(bordered_zero):
+    cc = bordered_zero
+    assert len(cc.history) == cc.iterations
+    _, kkt, step, _ = cc.history[-1]
+    assert step < _GN_STEP_TOL
+    assert kkt == cc.kkt_norm
+    assert all(row[3] > 0 for row in cc.history)
+
+
+def test_bordered_factor_fill_below_default_order(bordered_small, bordered_zero):
+    # the 9-point stencil's pattern is symmetric: minimum degree on A^T + A
+    # leaves 0.57 of the fill of SuperLU's default column order at this size
+    p, spec, kw = bordered_small
+    cc = bordered_zero
+    profiles = _small_profiles(p)
+    X, Y = np.meshgrid(cc.w.x, cc.w.y)
+    v = ansatz_sheared(X, Y, cc.psi, profiles, spec) + cc.w.data
+    A = _jacobian_w(v[1:-1, 1:-1], cc.psi, p, cc.w.x, cc.w.hx, cc.w.hy,
+                    profiles.c_y(cc.psi))
+    assert cc.history[-1][3] <= 0.7 * spla.splu(A).nnz
 
 
 def test_bordered_angle_odd_in_alpha(bordered_small):
@@ -268,9 +312,8 @@ def test_bordered_slope_matches_selection_integrals(theta_half_mid,
     assert abs(slope - report.dphi_dalpha) / report.dphi_dalpha < 0.10
 
 
-def test_save_correction_roundtrip(bordered_small, tmp_path):
-    p, spec, kw = bordered_small
-    cc = solve_bordered(p, spec, **kw)
+def test_save_correction_roundtrip(bordered_zero, tmp_path):
+    cc = bordered_zero
     base = str(tmp_path / "core")
     save_correction(cc, base)
     w = read_field(base + ".qnch")

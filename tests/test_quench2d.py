@@ -104,7 +104,7 @@ def test_ansatz_seed_converges_faster():
 
     assert res_ff.converged and res_step.converged
     # relaxation is gap-limited, so a better seed only buys log(error) steps:
-    # measured 67 vs 72 at this scale
+    # measured 66 vs 72 at this scale
     assert res_ff.steps + 3 <= res_step.steps
 
 
