@@ -144,6 +144,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("model.c_x must be >= 0")
     if cfg.solver_dt <= 0 or cfg.solver_tol <= 0:
         raise ConfigError("solver.dt and solver.tol must be positive")
+    if cfg.solver_max_steps < 1:
+        raise ConfigError("solver.max_steps must be at least 1")
     if len(cfg.g_left) > 4 or len(cfg.g_right) > 4:
         raise ConfigError("perturbation polynomials must have degree <= 3")
     if not 0 <= cfg.bordered_eta < max(cfg.c_x, 1e-12):

@@ -110,12 +110,16 @@ class SemiImplicitStepper:
     A_y = V diag(lam) V^-1 with V = D^-1 Q from the symmetric tridiagonal
     D A_y D^-1 = Q diag(lam) Q^T, then one tridiagonal system
     ((1 - dt lam_k) I - dt A_x) u_k = r_k per y mode k, all modes swept
-    together along x.
+    together along x.  With odd_y the template holds the rows y = h..L_y
+    of a field odd in y, below which the row y = 0 is held at zero.
     """
 
-    def __init__(self, template: Field2D, p: ModelParams, dt: float):
+    def __init__(self, template: Field2D, p: ModelParams, dt: float,
+                 odd_y: bool = False):
         if dt <= 0:
             raise ValueError("dt must be positive")
+        if odd_y and (p.c_y != 0 or p.alpha != 0):
+            raise ValueError("odd_y needs c_y = 0 and alpha = 0")
         self.p = p
         self.dt = dt
         self.nx, self.ny = template.nx, template.ny
@@ -128,8 +132,10 @@ class SemiImplicitStepper:
                 raise LinearSolveFailure(
                     f"cell Peclet number |c_{axis}| h_{axis} = {abs(c) * h:.3g} >= 2")
         self._a_x = _neumann_transport_1d(self.nx, self.hx, p.c_x)
-        self._a_y = sub_y, main_y, sup_y = _neumann_transport_1d(
-            self.ny, self.hy, p.c_y)
+        # odd_y: the trailing block of the Neumann operator on one more row
+        sub_y, main_y, sup_y = self._a_y = (
+            tuple(a[1:] for a in _neumann_transport_1d(self.ny + 1, self.hy, 0.0))
+            if odd_y else _neumann_transport_1d(self.ny, self.hy, p.c_y))
 
         # d_{i+1} / d_i = sqrt(sup_i / sub_{i+1}), accumulated in logs
         log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sup_y / sub_y))))
@@ -202,24 +208,21 @@ class SemiImplicitStepper:
 
 
 def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
-                  max_steps: int = 20000, project_odd: bool = False,
-                  recorder=None, record_every: int = 5) -> SteadyResult:
+                  max_steps: int = 20000, recorder=None,
+                  record_every: int = 5) -> SteadyResult:
     """Step from u0 until the update rate max|u_{n+1}-u_n|/dt drops below tol.
 
-    dt is the stepper's.  recorder(step_index, time, data) is invoked every
-    record_every steps.  Convergence is reported honestly via
+    dt is the stepper's, and u0 lives on the stepper's grid (the upper half
+    grid for an odd_y stepper).  recorder(step_index, time, data) is invoked
+    every record_every steps.  Convergence is reported honestly via
     SteadyResult.converged.
     """
     dt = stepper.dt
     u = u0.data.copy()
-    if project_odd:
-        u = 0.5 * (u - u[::-1, :])
     rate = np.inf
     steps = 0
     for k in range(max_steps):
         un = stepper.step(u)
-        if project_odd:
-            un = 0.5 * (un - un[::-1, :])
         rate = np.abs(un - u).max() / dt
         u = un
         steps = k + 1
@@ -332,21 +335,26 @@ def solve_theta(c_x: float, half_width_x: float = 60.0, half_width_y: float = 60
                 max_steps: int = 20000) -> Field2D:
     """Symmetric perpendicular-contact steady state at alpha = 0, c_y = 0.
 
-    Runs step-like odd initial data to steady state with odd symmetry in y
-    re-imposed every step, so the result satisfies u(x, y) = -u(x, -y)
-    exactly and has its zero level set on the x-axis.
+    Marches step data (1 for x < 0, 0 beyond) on the rows y > 0 alone, with
+    u = 0 on the y = 0 row, to steady state, then mirrors it: the result
+    satisfies u(x, y) = -u(x, -y) exactly, its y = 0 row is +0.0 and its
+    zero level set is the x-axis.
     """
     if c_x < 0:
         raise ValueError("c_x must be >= 0")
     p = ModelParams(c_x=c_x)
-    tmpl = Field2D.on_rectangle(half_width_x, half_width_y, h)
-    u0 = tmpl.copy_with(np.sign(tmpl.y)[:, None] * (tmpl.x[None, :] < 0))
-    result = run_to_steady(SemiImplicitStepper(u0, p, dt), u0, tol=tol,
-                           max_steps=max_steps, project_odd=True)
+    full = Field2D.on_rectangle(half_width_x, half_width_y, h)
+    m = full.ny // 2
+    u0 = Field2D(full.nx, m, full.x0, full.hy, full.hx, full.hy,
+                 data=np.tile(full.x < 0, (m, 1)))
+    result = run_to_steady(SemiImplicitStepper(u0, p, dt, odd_y=True), u0,
+                           tol=tol, max_steps=max_steps)
     if not result.converged:
         raise NotConverged(
             f"update rate {result.final_update_rate:.2e} > {tol} after {result.steps} steps")
-    return result.field
+    u = result.field.data
+    # 0.0 - u, not -u: the mirror of a +0.0 stays +0.0
+    return full.copy_with(np.concatenate([0.0 - u[::-1], np.zeros((1, full.nx)), u]))
 
 
 def elliptic_residual(u: Field2D, p: ModelParams) -> Field2D:

@@ -64,6 +64,10 @@ def test_config_validation():
         run(cfg)
     with pytest.raises(ConfigError):
         run(ExperimentConfig(solver_dt=-1.0))
+    # a march of no steps used to end in NotConverged after 0 steps
+    for steps in (0, -3):
+        with pytest.raises(ConfigError, match="solver.max_steps must be at least 1"):
+            run(ExperimentConfig(mode="theta", solver_max_steps=steps))
 
 
 def test_profile_mode_deterministic_and_manifest_roundtrip(tmp_path):

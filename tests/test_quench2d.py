@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from quenchlab.errors import LinearSolveFailure, NonFinite
+from quenchlab.errors import LinearSolveFailure, NonFinite, NotConverged
 from quenchlab.model import ModelParams, origin_index
 from quenchlab.profiles1d import Grid1D, solve_quench_front
 from quenchlab.quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
@@ -111,7 +111,7 @@ def test_ansatz_seed_converges_faster():
 def test_solve_theta_invariants(theta_half_small):
     th = theta_half_small
     u = th.data
-    assert np.max(np.abs(u + u[::-1, :])) == 0.0  # exact odd projection
+    assert np.max(np.abs(u + u[::-1, :])) == 0.0  # mirrored upper half
     thy = (u[2:, :] - u[:-2, :]) / (2 * th.hy)
     assert thy.min() >= -1e-8
     jmid = th.ny // 2
@@ -129,6 +129,44 @@ def test_theta_limits_match_1d(theta_half_small):
 def test_theta_steady_residual(theta_half_small):
     res = elliptic_residual(theta_half_small, ModelParams(c_x=0.5))
     assert np.max(np.abs(res.data)) < 1e-8  # 10x the steady tolerance
+
+
+def _odd_full_grid_march(c_x, half_x, half_y, h, dt, tol):
+    """Step data marched on the full grid with 0.5 (u - u(-y)) taken after
+    every step: the field and the step count where the rate drops below tol."""
+    f = Field2D.on_rectangle(half_x, half_y, h)
+    stepper = SemiImplicitStepper(f, ModelParams(c_x=c_x), dt)
+    u = np.sign(f.y)[:, None] * (f.x[None, :] < 0)
+    for steps in range(1, 2001):
+        un = stepper.step(u)
+        un = 0.5 * (un - un[::-1])
+        rate = np.abs(un - u).max() / dt
+        u = un
+        if rate < tol:
+            return u, steps
+    raise AssertionError("reference march did not converge")
+
+
+@pytest.mark.parametrize("half_y", [10.0, 0.5])  # 0.5 = h: one unknown row
+def test_half_grid_theta_matches_full_grid_march(half_y):
+    h, dt, tol = 0.5, 0.25, 1e-9
+    want, steps = _odd_full_grid_march(0.5, 10.0, half_y, h, dt, tol)
+    th = solve_theta(0.5, 10.0, half_y, h=h, dt=dt, tol=tol, max_steps=steps)
+    with pytest.raises(NotConverged):  # not one step fewer
+        solve_theta(0.5, 10.0, half_y, h=h, dt=dt, tol=tol, max_steps=steps - 1)
+    u = th.data
+    assert u.shape == want.shape
+    assert np.max(np.abs(u - want)) <= 1e-12
+    assert np.all(u + u[::-1] == 0.0)
+    assert not np.signbit(u[u == 0.0]).any()  # no -0.0, the y = 0 row included
+    assert np.all(u[th.ny // 2] == 0.0)
+
+
+@pytest.mark.parametrize("kw", [{"c_y": 0.1}, {"alpha": 0.1}])
+def test_odd_y_stepper_needs_symmetric_kinetics(kw):
+    f = Field2D(nx=11, ny=5, x0=-5.0, y0=1.0, hx=1.0, hy=1.0)
+    with pytest.raises(ValueError, match="odd_y"):
+        SemiImplicitStepper(f, ModelParams(c_x=0.5, **kw), dt=0.25, odd_y=True)
 
 
 def test_amplitude_clamp():
