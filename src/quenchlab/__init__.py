@@ -9,19 +9,9 @@ solver), `farfield` (glued ansatz and bordered angle solve), `measure`
 runner).
 """
 
+# only model's names: importing quenchlab.model then loads no scipy
 from .model import EquilibriumBranches, ModelParams
-from .profiles1d import Grid1D, Profile1D, WaveSolution
-from .quench2d import Field2D, SteadyResult
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EquilibriumBranches",
-    "Field2D",
-    "Grid1D",
-    "ModelParams",
-    "Profile1D",
-    "SteadyResult",
-    "WaveSolution",
-    "__version__",
-]
+__all__ = ["EquilibriumBranches", "ModelParams", "__version__"]

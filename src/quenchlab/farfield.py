@@ -17,10 +17,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IllConditioned, NotConverged
-from .model import (ModelParams, interface_correction_jac, origin_index,
-                    reaction, reaction_derivative, stable_zeros)
-from .profiles1d import (Grid1D, Profile1D, WaveSolution, solve_quench_front,
-                         solve_traveling_wave)
+from .model import (ModelParams, reaction, reaction_jacobian, stable_zeros,
+                    transport_1d)
+from .profiles1d import (Grid1D, Profile1D, WaveSolution, frame_speed,
+                         solve_quench_front, solve_traveling_wave)
 from .textio import write_entries
 from .quench2d import Field2D, solve_theta
 
@@ -244,7 +244,7 @@ class FarfieldProfiles:
         return self.wave.profile.values_at(np.asarray(s) + self.wave_offset)
 
     def c_y(self, psi: float) -> float:
-        return self.cn / np.cos(psi) - self.p.c_x * np.tan(psi)
+        return frame_speed(psi, self.cn, self.p.c_x)
 
 
 def build_profiles(p: ModelParams, front_grid: Grid1D,
@@ -300,44 +300,77 @@ def ansatz_sheared(X, Y, psi: float, profiles: FarfieldProfiles,
 
 
 # ---------------------------------------------------------------------------
-# residual of the sheared equation
+# the sheared equation
 # ---------------------------------------------------------------------------
 
-def _sheared_residual_interior(v: np.ndarray, psi: float, p: ModelParams,
-                               x: np.ndarray, hx: float, hy: float,
-                               c_y: float) -> np.ndarray:
-    """Pointwise residual of the sheared comoving equation on interior nodes."""
-    t = np.tan(psi)
-    vxx = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx**2
-    vyy = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hy**2
-    vx = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * hx)
-    vy = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * hy)
-    vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
-    xi = x[1:-1]
-    Sx = shear_profile_d1(xi)[None, :]
-    Sxx = shear_profile_d2(xi)[None, :]
-    return (vxx + vyy + p.c_x * vx + c_y * vy
-            + t * (2.0 * Sx * vxy + t * Sx**2 * vyy + (p.c_x * Sx + Sxx) * vy)
-            + reaction(xi, v[1:-1, 1:-1], p, hx))
+class ShearedOperator:
+    """The sheared comoving equation on one grid, its linear part assembled once.
+
+    The linear part maps the values on all nodes to the interior rows (both
+    row-major, y outer).  At t = tan(psi) it is L0 + c_y L_y + t P1 + t^2 P2,
+    from psi-independent pieces: L0 = Lap + c_x d_x, L_y = d_y,
+    P1 = 2 S' d_xy + (c_x S' + S'') d_y and P2 = S'^2 d_yy, where S = x chi^-.
+    """
+
+    def __init__(self, template: Field2D, p: ModelParams):
+        nx, ny, hx, hy = template.nx, template.ny, template.hx, template.hy
+        self.p, self.xi, self.hx = p, template.x[1:-1], hx
+        self.shape = (ny - 2, nx - 2)
+
+        def interior_rows(diagonals):
+            return sp.diags(diagonals, [-1, 0, 1]).tocsr()[1:-1]
+
+        Ax = interior_rows(transport_1d(nx, hx, p.c_x))
+        Dyy = interior_rows(transport_1d(ny, hy, 0.0))
+        Dx = sp.diags([-1.0, 1.0], [0, 2], shape=(nx - 2, nx)) / (2.0 * hx)
+        Dy = sp.diags([-1.0, 1.0], [0, 2], shape=(ny - 2, ny)) / (2.0 * hy)
+        Ex, Ey = sp.eye(nx - 2, nx, 1), sp.eye(ny - 2, ny, 1)
+        Sx = sp.diags(np.tile(shear_profile_d1(self.xi), ny - 2))
+        Sxx = sp.diags(np.tile(shear_profile_d2(self.xi), ny - 2))
+        L_y = sp.kron(Dy, Ex)
+        self.pieces = tuple(m.tocsr() for m in (
+            sp.kron(Ey, Ax) + sp.kron(Dyy, Ex), L_y,
+            2.0 * Sx @ sp.kron(Dy, Dx) + (p.c_x * Sx + Sxx) @ L_y,
+            Sx @ Sx @ sp.kron(Dyy, Ex)))
+        self.interior = np.arange(nx * ny).reshape(ny, nx)[1:-1, 1:-1].ravel()
+
+    @staticmethod
+    def _weights(psi, c_y):
+        t = np.tan(psi)
+        return 1.0, c_y, t, t * t
+
+    def residual(self, v: np.ndarray, psi: float, c_y: float) -> np.ndarray:
+        """The equation's residual on the interior nodes at the field v."""
+        vf = v.ravel()
+        lin = sum(k * (m @ vf) for k, m in zip(self._weights(psi, c_y), self.pieces))
+        return lin.reshape(self.shape) + reaction(self.xi, v[1:-1, 1:-1], self.p,
+                                                  self.hx)
+
+    def jacobian(self, v: np.ndarray, psi: float, c_y: float) -> sp.csc_matrix:
+        """Derivative of residual in the interior values of v: the linear part
+        on the interior columns plus the kinetics' tridiagonal along x."""
+        lin = sum(k * m for k, m in zip(self._weights(psi, c_y), self.pieces))
+        sub, main, sup = reaction_jacobian(self.xi, v[1:-1, 1:-1], self.p, self.hx)
+        # raveled, the x-neighbours across the end of an interior row are 0
+        gap = np.zeros((self.shape[0], 1))
+        kinetics = sp.diags([np.hstack([sub, gap]).ravel()[:-1], main.ravel(),
+                             np.hstack([sup, gap]).ravel()[:-1]], [-1, 0, 1])
+        return (lin[:, self.interior] + kinetics).tocsc()
 
 
 def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
-               profiles: FarfieldProfiles) -> Field2D:
-    """Residual field of the sheared equation at ansatz + core correction.
+               profiles: FarfieldProfiles, op: ShearedOperator):
+    """Residual of the sheared equation at v = ansatz + core correction.
 
-    w lives on the sheared grid with zero boundary values; the model is
-    profiles.p and the frame speed c_y is set from the geometric speed
-    relation at (alpha, psi).  Boundary entries of the returned field are
-    zero.
+    w lives on op's grid with zero boundary values; the model is profiles.p
+    and the frame speed c_y is set from the geometric speed relation at
+    (alpha, psi).  Returns the residual on the interior nodes, and v.
     """
     if w.data.shape != (w.ny, w.nx):
         raise ValueError("field shape mismatch")
     X, Y = np.meshgrid(w.x, w.y)
     v = ansatz_sheared(X, Y, psi, profiles, spec) + w.data
-    r = np.zeros_like(v)
-    r[1:-1, 1:-1] = _sheared_residual_interior(
-        v, psi, profiles.p, w.x, w.hx, w.hy, profiles.c_y(psi))
-    return w.copy_with(r)
+    return op.residual(v, psi, profiles.c_y(psi)), v
 
 
 # ---------------------------------------------------------------------------
@@ -358,43 +391,6 @@ class CoreCorrection:
     #: per iteration: weighted residual at its start, kkt cosine, max-norm
     #: step, and the L+U nonzeros of its factorization
     history: list[tuple[float, float, float, int]] = field(default_factory=list)
-
-
-def _jacobian_w(vi: np.ndarray, psi: float, p: ModelParams, x: np.ndarray,
-                hx: float, hy: float, c_y: float) -> sp.csc_matrix:
-    """Sparse derivative of the interior residual with respect to interior w."""
-    nxi = vi.shape[1]
-    nyi = vi.shape[0]
-    ex = np.ones(nxi)
-    ey = np.ones(nyi)
-    Dxx = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1]) / hx**2
-    Dyy = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1]) / hy**2
-    Dx = sp.diags([-ex[:-1], ex[:-1]], [-1, 1]) / (2 * hx)
-    Dy = sp.diags([-ey[:-1], ey[:-1]], [-1, 1]) / (2 * hy)
-    Ix = sp.identity(nxi)
-    Iy = sp.identity(nyi)
-    xi = x[1:-1]
-    t = np.tan(psi)
-    Sx = sp.diags(np.tile(shear_profile_d1(xi), nyi))
-    Sxx = sp.diags(np.tile(shear_profile_d2(xi), nyi))
-    q = reaction_derivative(xi, vi, p)
-    A = (sp.kron(Iy, Dxx + p.c_x * Dx) + sp.kron(Dyy + c_y * Dy, Ix)
-         + t * (2.0 * Sx @ sp.kron(Dy, Dx) + t * Sx @ Sx @ sp.kron(Dyy, Ix)
-                + (p.c_x * Sx + Sxx) @ sp.kron(Dy, Ix))
-         + sp.diags(q.ravel()))
-    j0 = origin_index(xi)
-    if j0 is not None:
-        # the jump correction on the x = 0 column depends on u0 and, through
-        # ux, on the column's x-neighbours
-        ux = (vi[:, j0 + 1] - vi[:, j0 - 1]) / (2 * hx)
-        d_du0, d_dux = interface_correction_jac(vi[:, j0], ux, p, hx, p.c_x)
-        rows = np.arange(nyi) * nxi + j0
-        side = d_dux / (2 * hx)
-        A = A - sp.csr_matrix(
-            (np.concatenate([d_du0, side, -side]),
-             (np.tile(rows, 3), np.concatenate([rows, rows + 1, rows - 1]))),
-            shape=A.shape)
-    return A.tocsc()
 
 
 #: Newton budget of solve_bordered: iterations, the max-norm step that ends
@@ -430,30 +426,22 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
     if theta is None:
         theta = solve_theta(p.c_x, half_width, half_width, h=h, dt=0.25, tol=1e-9)
     X, Y = np.meshgrid(template.x, template.y)
-    w = theta.data - ansatz_sheared(X, Y, 0.0, profiles, spec)
-    w[0, :] = w[-1, :] = 0.0
-    w[:, 0] = w[:, -1] = 0.0
+    w = template.copy_with(theta.data - ansatz_sheared(X, Y, 0.0, profiles, spec))
+    w.data[0, :] = w.data[-1, :] = 0.0
+    w.data[:, 0] = w.data[:, -1] = 0.0
     psi = 0.0
-    x = template.x
-    hx = hy = h
+    op = ShearedOperator(template, p)
     weight = np.exp(eta * (np.abs(X) + np.abs(Y)))[1:-1, 1:-1].ravel()
-    norm_scale = np.sqrt(hx * hy)
-    shape_i = (template.ny - 2, template.nx - 2)
     history = []
 
     def weighted_norm(res):
-        return float(np.linalg.norm(weight * res.ravel()) * norm_scale)
-
-    def interior_residual(wfull, psi_val):
-        v = ansatz_sheared(X, Y, psi_val, profiles, spec) + wfull
-        return _sheared_residual_interior(v, psi_val, p, x, hx, hy,
-                                          profiles.c_y(psi_val)), v
+        return float(np.linalg.norm(weight * res.ravel()) * h)
 
     for it in range(_GN_MAX_ITER):
-        r, v = interior_residual(w, psi)
-        rp, _ = interior_residual(w, psi + _GN_FD_PSI)
-        rm, _ = interior_residual(w, psi - _GN_FD_PSI)
-        A = _jacobian_w(v[1:-1, 1:-1], psi, p, x, hx, hy, profiles.c_y(psi))
+        r, v = residual_F(w, psi, spec, profiles, op)
+        rp, _ = residual_F(w, psi + _GN_FD_PSI, spec, profiles, op)
+        rm, _ = residual_F(w, psi - _GN_FD_PSI, spec, profiles, op)
+        A = op.jacobian(v, psi, profiles.c_y(psi))
         try:
             # A's stored pattern is the symmetric 9-point stencil, so minimum
             # degree on A^T + A orders it with about half the fill of the
@@ -467,24 +455,23 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
         bb = float(wb @ wb)
         if not np.isfinite(bb) or bb == 0.0:
             raise IllConditioned(f"angle direction degenerate (|W b|^2 = {bb:.3e})")
-        ww = weight * w[1:-1, 1:-1].ravel()
+        ww = weight * w.data[1:-1, 1:-1].ravel()
         kkt = abs(float(ww @ wb)) / (np.linalg.norm(ww) * np.sqrt(bb))
         dpsi = float((ww + weight * a) @ wb) / bb
-        dw = (a - dpsi * b).reshape(shape_i)
-        w[1:-1, 1:-1] += dw
+        dw = (a - dpsi * b).reshape(op.shape)
+        w.data[1:-1, 1:-1] += dw
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
         history.append((weighted_norm(r), kkt, float(step), lu.nnz))
         if step < _GN_STEP_TOL:
             break
-    r, _ = interior_residual(w, psi)
+    r, _ = residual_F(w, psi, spec, profiles, op)
     rn = weighted_norm(r)
     if rn > _GN_RESIDUAL_TARGET:
         raise NotConverged(
             f"weighted residual {rn:.3e} above target {_GN_RESIDUAL_TARGET} "
             f"after {it + 1} iterations")
-    wfield = template.copy_with(w)
-    return CoreCorrection(w=wfield, psi=float(psi), alpha=p.alpha,
+    return CoreCorrection(w=w, psi=float(psi), alpha=p.alpha,
                           weighted_residual=rn, weight_rate=eta,
                           iterations=it + 1, kkt_norm=float(kkt),
                           history=history)

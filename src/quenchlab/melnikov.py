@@ -20,6 +20,9 @@ from .textio import write_entries
 #: the weighted integrand must have decayed by this factor at the domain edge
 _EDGE_DECAY = 1e-6
 
+#: m_psi must lie below -MIN_M_PSI for the predicted angle derivative
+MIN_M_PSI = 1e-10
+
 
 @dataclass
 class MelnikovReport:
@@ -123,10 +126,9 @@ def m_alpha(u_top: Profile1D, u_bottom: Profile1D, p: ModelParams,
 
 
 def dphi_dalpha(m_psi_value: float, m_alpha_value: float, cn_prime_value: float,
-                c_x: float, quadrature_error: dict | None = None,
-                min_m_psi: float = 1e-10) -> MelnikovReport:
+                c_x: float, quadrature_error: dict | None = None) -> MelnikovReport:
     """Assemble the report with dphi/dalpha = -m_alpha/m_psi."""
-    if not m_psi_value < -min_m_psi:
+    if not m_psi_value < -MIN_M_PSI:
         raise DegenerateMpsi(f"m_psi = {m_psi_value:.3e} is not negative enough")
     geometric = -cn_prime_value * m_psi_value / c_x if c_x > 0 else 0.0
     return MelnikovReport(

@@ -166,12 +166,41 @@ def reaction(x, u, p: ModelParams, h):
 
 def reaction_derivative(x, u, p: ModelParams):
     """Pointwise d/du of the kinetics, q = mu - 3 u^2 + alpha g'(u), sampled
-    like reaction; the jump correction's part is interface_correction_jac."""
+    like reaction; the jump correction's part is in reaction_jacobian."""
     q = side_average(x, 1.0, -1.0) - 3.0 * u**2
     if p.alpha != 0.0 and (p.g_left or p.g_right):
         q = q + p.alpha * side_average(x, poly_eval(poly_derivative(p.g_left), u),
                                        poly_eval(poly_derivative(p.g_right), u))
     return q
+
+
+def reaction_jacobian(x, u, p: ModelParams, h):
+    """Exact derivative of reaction as diagonals (sub, main, sup) along x.
+
+    d reaction[..., i] / d u[..., i] is main[..., i], d / d u[..., i - 1] is
+    sub[..., i - 1] and d / d u[..., i + 1] is sup[..., i].  Off the x = 0
+    node main is q and sub, sup vanish; there the jump correction adds its
+    derivative in u0 and, through the centered u_x, in the two neighbours.
+    """
+    main = reaction_derivative(x, u, p)
+    sub = np.zeros(main.shape[:-1] + (main.shape[-1] - 1,))
+    sup = np.zeros_like(sub)
+    i0 = origin_index(x)
+    if i0 is not None and 0 < i0 < len(x) - 1:
+        ux = (u[..., i0 + 1] - u[..., i0 - 1]) / (2.0 * h)
+        d_du0, d_dux = interface_correction_jac(u[..., i0], ux, p, h, p.c_x)
+        main[..., i0] -= d_du0
+        sub[..., i0 - 1] = d_dux / (2.0 * h)
+        sup[..., i0] = -d_dux / (2.0 * h)
+    return sub, main, sup
+
+
+def transport_1d(n: int, h: float, c: float):
+    """Diagonals (sub, main, sup) of the centered d2/ds2 + c d/ds on n nodes
+    of spacing h: 1/h^2 -+ c/(2h) off the diagonal, -2/h^2 on it."""
+    lap, d1 = 1.0 / h**2, 1.0 / (2.0 * h)
+    return (np.full(n - 1, lap - c * d1), np.full(n, -2.0 / h**2),
+            np.full(n - 1, lap + c * d1))
 
 
 def _newton_scalar(f, fp, x0, tol=_ZERO_TOL, max_iter=80):

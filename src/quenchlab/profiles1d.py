@@ -13,9 +13,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
-from .model import (ModelParams, interface_correction_jac, origin_index,
-                    poly_derivative, poly_eval, reaction, reaction_derivative,
-                    stable_zeros)
+from .model import (ModelParams, origin_index, poly_derivative, poly_eval,
+                    reaction, reaction_jacobian, stable_zeros, transport_1d)
 from .textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
@@ -26,6 +25,10 @@ TRUNCATION_GRADIENT_TOL = 1e-5
 #: max-norm residual target and iteration budget of the 1D Newton solves
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+
+#: a profile extends beyond its grid only where its end value lies this
+#: close to its limit
+TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,7 @@ class Profile1D:
 
     _spline: object = field(default=None, repr=False, compare=False)
 
-    def __call__(self, x):
-        return self.values_at(x)
-
-    def values_at(self, x, tail_tol: float = 1e-6):
+    def values_at(self, x):
         """Cubic interpolation; beyond the grid, converged tails extend by their limits."""
         if self._spline is None:
             from scipy.interpolate import CubicSpline
@@ -88,10 +88,10 @@ class Profile1D:
         x = np.asarray(x, dtype=float)
         lo, hi = self.grid.x_min, self.grid.x_max
         below, above = x < lo, x > hi
-        if below.any() and abs(self.values[0] - self.limit_left) > tail_tol:
+        if below.any() and abs(self.values[0] - self.limit_left) > TAIL_TOL:
             raise OutOfProfileRange(
                 f"x < {lo} requested but the left tail has not converged")
-        if above.any() and abs(self.values[-1] - self.limit_right) > tail_tol:
+        if above.any() and abs(self.values[-1] - self.limit_right) > TAIL_TOL:
             raise OutOfProfileRange(
                 f"x > {hi} requested but the right tail has not converged")
         out = self._spline(np.clip(x, lo, hi))
@@ -136,7 +136,7 @@ def solve_quench_front(side: str, p: ModelParams,
         raise ValueError(f"side must be 'top' or 'bottom', got {side!r}")
     x = grid.nodes()
     h = grid.h
-    i0 = grid.index_of_origin()
+    grid.index_of_origin()  # raises unless the jump at x = 0 is on a node
     branches = stable_zeros(p)
     left_val = branches.z_plus if side == "top" else branches.z_minus
     right_val = branches.z_zero
@@ -149,14 +149,8 @@ def solve_quench_front(side: str, p: ModelParams,
         return r
 
     def newton_matrix(u):
-        lower = np.full(grid.n - 1, 1.0 / h**2 - p.c_x / (2.0 * h))
-        upper = np.full(grid.n - 1, 1.0 / h**2 + p.c_x / (2.0 * h))
-        diag = -2.0 / h**2 + reaction_derivative(x, u, p)
-        ux = (u[i0 + 1] - u[i0 - 1]) / (2.0 * h)
-        d_du0, d_dux = interface_correction_jac(u[i0], ux, p, h, p.c_x)
-        diag[i0] -= d_du0
-        upper[i0] -= d_dux / (2.0 * h)
-        lower[i0 - 1] += d_dux / (2.0 * h)
+        lower, diag, upper = map(np.add, transport_1d(grid.n, h, p.c_x),
+                                 reaction_jacobian(x, u, p, h))
         # Dirichlet rows
         diag[0] = diag[-1] = 1.0
         upper[0] = 0.0
@@ -246,9 +240,8 @@ def solve_traveling_wave(p: ModelParams,
         rn = max(abs(r[1:-1]).max(), abs(phase))
         if rn < NEWTON_TOL:
             break
-        lower = np.full(grid.n - 1, 1.0 / h**2 - c / (2.0 * h))
-        upper = np.full(grid.n - 1, 1.0 / h**2 + c / (2.0 * h))
-        diag = -2.0 / h**2 + 1.0 - 3.0 * z**2 + a * poly_eval(glp, z)
+        lower, diag, upper = transport_1d(grid.n, h, c)
+        diag += 1.0 - 3.0 * z**2 + a * poly_eval(glp, z)
         diag[0] = diag[-1] = 1.0
         upper[0] = 0.0
         lower[-1] = 0.0
@@ -274,17 +267,6 @@ def solve_traveling_wave(p: ModelParams,
     return WaveSolution(profile=profile, speed=c, alpha=p.alpha)
 
 
-_cn_cache: dict = {}
-
-
-def normal_speed(p: ModelParams, grid: Grid1D = DEFAULT_GRID) -> float:
-    """Selected normal speed c_n(alpha) of the bistable front (cached)."""
-    key = (round(p.alpha, 14), p.g_left, grid.x_min, grid.x_max, grid.n)
-    if key not in _cn_cache:
-        _cn_cache[key] = solve_traveling_wave(p, grid).speed
-    return _cn_cache[key]
-
-
 def cn_prime_quadrature(g_left, half_width: float = 40.0, panels: int = 160) -> float:
     """Slope of the normal speed at alpha = 0 from the balanced front.
 
@@ -305,13 +287,18 @@ def cn_prime_quadrature(g_left, half_width: float = 40.0, panels: int = 160) -> 
     return -num / den
 
 
-def cy_from_angle(psi: float, p: ModelParams,
-                  grid: Grid1D = DEFAULT_GRID) -> float:
-    """Vertical frame speed c_y = c_n(alpha)/cos(psi) - c_x tan(psi)."""
+def frame_speed(psi: float, cn: float, c_x: float) -> float:
+    """Vertical frame speed c_y = c_n/cos(psi) - c_x tan(psi) of an interface
+    at angle psi whose normal speed is c_n."""
     if not abs(psi) < np.pi / 2:
         raise ValueError("need |psi| < pi/2")
-    cn = normal_speed(p, grid)
-    return cn / np.cos(psi) - p.c_x * np.tan(psi)
+    return cn / np.cos(psi) - c_x * np.tan(psi)
+
+
+def cy_from_angle(psi: float, p: ModelParams,
+                  grid: Grid1D = DEFAULT_GRID) -> float:
+    """frame_speed at the normal speed c_n(alpha) of the wave solved on grid."""
+    return frame_speed(psi, solve_traveling_wave(p, grid).speed, p.c_x)
 
 
 def export_profile(profile: Profile1D, base_path: str, p: ModelParams | None = None):

@@ -18,8 +18,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import LinearSolveFailure, NonFinite, NotConverged
-from .model import (ModelParams, interface_correction_jac, origin_index,
-                    reaction, reaction_derivative)
+from .model import (ModelParams, origin_index, reaction, reaction_jacobian,
+                    transport_1d)
 
 #: fields must stay inside the bistable range; beyond this we call it blow-up
 AMPLITUDE_CLAMP = 2.0
@@ -90,11 +90,9 @@ def _neumann_transport_1d(n: int, h: float, c: float):
     The ghost-node reflection doubles the inward neighbour of the second
     difference and cancels the centered first difference at both ends.
     """
-    lap, d1 = 1.0 / h**2, 1.0 / (2.0 * h)
-    sub = np.full(n - 1, lap - c * d1)
-    sup = np.full(n - 1, lap + c * d1)
+    sub, main, sup = transport_1d(n, h, c)
     sub[-1] = sup[0] = 2.0 / h**2
-    return sub, np.full(n, -2.0 / h**2), sup
+    return sub, main, sup
 
 
 #: largest max(d)/min(d) of the y symmetrizer; it grows like e^{|c_y| L_y} and
@@ -207,14 +205,17 @@ class SemiImplicitStepper:
         return lin + self.reaction(u)
 
 
+#: run_to_steady hands every RECORD_EVERY-th step to its recorder
+RECORD_EVERY = 5
+
+
 def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
-                  max_steps: int = 20000, recorder=None,
-                  record_every: int = 5) -> SteadyResult:
+                  max_steps: int = 20000, recorder=None) -> SteadyResult:
     """Step from u0 until the update rate max|u_{n+1}-u_n|/dt drops below tol.
 
     dt is the stepper's, and u0 lives on the stepper's grid (the upper half
     grid for an odd_y stepper).  recorder(step_index, time, data) is invoked
-    every record_every steps.  Convergence is reported honestly via
+    every RECORD_EVERY steps.  Convergence is reported honestly via
     SteadyResult.converged.
     """
     dt = stepper.dt
@@ -226,7 +227,7 @@ def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
         rate = np.abs(un - u).max() / dt
         u = un
         steps = k + 1
-        if recorder is not None and k % record_every == 0:
+        if recorder is not None and k % RECORD_EVERY == 0:
             recorder(k, (k + 1) * dt, u)
         if rate < tol:
             break
@@ -288,12 +289,12 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
         if len(history) == _NK_MAX_ITER:
             raise NotConverged(f"steady residual {res:.2e} > {tol} after "
                                f"{_NK_MAX_ITER} Newton steps")
-        # dPhi/du v = solve(v + dt R'(u) v): R' is q, with the jump
-        # correction's derivatives on the x = 0 column
-        q = reaction_derivative(x, u, p)
-        ux = (u[:, i0 + 1] - u[:, i0 - 1]) / (2.0 * hx)
-        d_du0, d_dux = interface_correction_jac(u[:, i0], ux, p, hx, p.c_x)
-        q[:, i0] -= d_du0
+        # dPhi/du v = solve(v + dt R'(u) v), R' tridiagonal along x.  Its sub
+        # diagonal is -sup shifted by one, as R sees its x-neighbours only
+        # through the centered u_x, so R' acts on their difference; that
+        # coupling sits on the x = 0 column alone
+        _, main, sup = reaction_jacobian(x, u, p, hx)
+        cols = np.flatnonzero(sup.any(axis=0))
         # dPhi/dc_y = solve(dt D_y Phi(u)), D_y zero on its Neumann end rows
         dphi_dy = np.zeros(shape)
         dphi_dy[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * hy)
@@ -301,8 +302,8 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
 
         def matvec(z):
             v = z[:n].reshape(shape)
-            r = q * v
-            r[:, i0] -= d_dux * (v[:, i0 + 1] - v[:, i0 - 1]) / (2.0 * hx)
+            r = main * v
+            r[:, cols] += sup[:, cols] * (v[:, cols + 1] - v[:, cols - 1])
             jv = stepper.solve(v + _NK_DT * r) - v
             return np.append(jv.ravel() + z[n] * b, z[phase])
 

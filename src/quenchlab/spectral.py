@@ -17,7 +17,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .errors import EigensolveFailure
 from .melnikov import dy_centered
 from .model import (ModelParams, interface_correction, origin_index,
-                    reaction_derivative)
+                    reaction_derivative, transport_1d)
 from .profiles1d import Grid1D, Profile1D
 from .quench2d import Field2D
 
@@ -66,12 +66,11 @@ def max_real_eig_1d(op: LinearOperator1D, endpoint_tol: float = 1e-5) -> float:
         if np.abs(tail - tail[0]).max() > endpoint_tol:
             raise ValueError("potential still varies at the domain ends; "
                              "enlarge the truncation domain")
-    lower = 1.0 / h**2 - op.c_x / (2.0 * h)
-    upper = 1.0 / h**2 + op.c_x / (2.0 * h)
-    if lower * upper <= 0:
+    lower, main, upper = transport_1d(n, h, op.c_x)
+    if lower[0] * upper[0] <= 0:
         raise EigensolveFailure(f"c_x h = {op.c_x * h:.3f} too large to symmetrize")
-    diag = -2.0 / h**2 + op.q[1:-1]
-    off = np.full(n - 3, np.sqrt(lower * upper))
+    diag = main[1:-1] + op.q[1:-1]
+    off = np.sqrt(lower * upper)[2:]
     try:
         vals = eigvalsh_tridiagonal(diag, off, select="i",
                                     select_range=(n - 3, n - 3))

@@ -252,13 +252,17 @@ def test_measured_field_is_steady():
 
 
 def test_cli_import_leaves_out_unused_scipy_modules():
-    code = ("import sys, quenchlab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+    # the cli defers scipy.interpolate and scipy.optimize to their callers;
+    # model is numpy-only and loads no scipy at all
     src = os.path.dirname(os.path.dirname(quench2d.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    for module, prefixes in (("cli", "('scipy.interpolate', 'scipy.optimize')"),
+                             ("model", "'scipy'")):
+        code = (f"import sys, quenchlab.{module}; print(sorted(m for m in "
+                f"sys.modules if m.startswith({prefixes})))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]", module
 
 
 def test_simulate_mode(tmp_path):

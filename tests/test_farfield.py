@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from quenchlab.farfield import (_GN_STEP_TOL, PartitionSpec,
-                                ShearSpec, _jacobian_w, _sheared_residual_interior,
-                                ansatz_sheared, build_profiles,
+from quenchlab.farfield import (_GN_STEP_TOL, PartitionSpec, ShearedOperator,
+                                ShearSpec, ansatz_sheared, build_profiles,
                                 farfield_ansatz, partition_derivative_bound,
                                 partition_of_unity, residual_F, save_correction,
                                 shear_inverse, shear_map, solve_bordered)
@@ -126,10 +125,11 @@ def test_sheared_ansatz_flattens_left(profiles_zero):
 
 def test_residual_zero_in_pure_right_region(profiles_zero):
     w = Field2D.on_rectangle(30.0, 30.0, 0.5)
-    r = residual_F(w, 0.05, SPEC, profiles_zero)
+    r, _ = residual_F(w, 0.05, SPEC, profiles_zero,
+                      ShearedOperator(w, profiles_zero.p))
     X, Y = np.meshgrid(w.x, w.y)
     deep_right = (X > SPEC.R + 2) & (np.abs(Y) < X / 2)
-    assert np.max(np.abs(r.data[deep_right])) < 1e-9
+    assert np.max(np.abs(r[deep_right[1:-1, 1:-1]])) < 1e-9
 
 
 def test_residual_consistency_order(theta_half_fine):
@@ -149,8 +149,8 @@ def test_residual_consistency_order(theta_half_fine):
         w.data[:] = sub - uff
         w.data[0, :] = w.data[-1, :] = 0.0
         w.data[:, 0] = w.data[:, -1] = 0.0
-        r = residual_F(w, 0.0, SPEC, profiles)
-        interior = r.data[1:-1, 1:-1]
+        interior, _ = residual_F(w, 0.0, SPEC, profiles,
+                                 ShearedOperator(w, p))
         # w carries the (nonzero) true state at the frame, so the first
         # stencil layer next to the clamped boundary is polluted; skip it
         sups[stride] = np.max(np.abs(interior[3:-3, 3:-3]))
@@ -167,14 +167,15 @@ def test_residual_overlap_decreases_with_core_radius():
     grid1 = Grid1D.symmetric(80.0, h)
     profiles = build_profiles(p, grid1, grid1)
     X, Y = np.meshgrid(w.x, w.y)
-    rr = np.hypot(X, Y)
+    rr = np.hypot(X, Y)[1:-1, 1:-1]
+    op = ShearedOperator(w, p)
     sups = []
     for R in (20.0, 30.0, 40.0):
         spec = PartitionSpec(R=R)
-        r = residual_F(w, 0.0, spec, profiles)
+        r, _ = residual_F(w, 0.0, spec, profiles, op)
         # keep one stencil width clear of the core-mollification ring [R-4, R]
         ann = (rr >= R + 2 * h) & (rr <= 2 * R)
-        sups.append(np.max(np.abs(r.data[ann])))
+        sups.append(np.max(np.abs(r[ann])))
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-6
 
@@ -189,7 +190,7 @@ def test_sheared_residual_matches_stepper_at_zero_shear(rng):
     f = Field2D.on_rectangle(4.0, 3.0, 0.25)
     v = rng.uniform(-1.0, 1.0, f.data.shape)
     c_y = 0.17
-    got = _sheared_residual_interior(v, 0.0, P_FORCED, f.x, f.hx, f.hy, c_y)
+    got = ShearedOperator(f, P_FORCED).residual(v, 0.0, c_y)
     stepper = SemiImplicitStepper(f, P_FORCED.replace(c_y=c_y), dt=1.0)
     want = stepper.elliptic_residual(v)[1:-1, 1:-1]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
@@ -200,15 +201,15 @@ def test_jacobian_matches_finite_differences(rng):
     f = Field2D.on_rectangle(3.0, 3.0, 0.5)
     v = rng.uniform(-1.0, 1.0, f.data.shape)
     psi, c_y, eps = 0.2, 0.1, 1e-6
-    args = (psi, P_FORCED, f.x, f.hx, f.hy, c_y)
-    jac = _jacobian_w(v[1:-1, 1:-1], *args).toarray()
+    op = ShearedOperator(f, P_FORCED)
+    jac = op.jacobian(v, psi, c_y).toarray()
     fd = np.empty_like(jac)
     for k in range(jac.shape[1]):
         vp, vm = v.copy(), v.copy()
         vp[1:-1, 1:-1].flat[k] += eps
         vm[1:-1, 1:-1].flat[k] -= eps
-        fd[:, k] = (_sheared_residual_interior(vp, *args)
-                    - _sheared_residual_interior(vm, *args)).ravel() / (2 * eps)
+        fd[:, k] = (op.residual(vp, psi, c_y)
+                    - op.residual(vm, psi, c_y)).ravel() / (2 * eps)
     np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6)
 
 
@@ -264,8 +265,7 @@ def test_bordered_factor_fill_below_default_order(bordered_small, bordered_zero)
     profiles = _small_profiles(p)
     X, Y = np.meshgrid(cc.w.x, cc.w.y)
     v = ansatz_sheared(X, Y, cc.psi, profiles, spec) + cc.w.data
-    A = _jacobian_w(v[1:-1, 1:-1], cc.psi, p, cc.w.x, cc.w.hx, cc.w.hy,
-                    profiles.c_y(cc.psi))
+    A = ShearedOperator(cc.w, p).jacobian(v, cc.psi, profiles.c_y(cc.psi))
     assert cc.history[-1][3] <= 0.7 * spla.splu(A).nnz
 
 

@@ -4,7 +4,8 @@ import pytest
 from quenchlab.errors import NoConvergence
 from quenchlab.model import (ModelParams, origin_index, poly_antiderivative,
                              poly_derivative, potential_G, reaction,
-                             reaction_derivative, side_average, stable_zeros)
+                             reaction_derivative, reaction_jacobian,
+                             side_average, stable_zeros)
 
 
 def test_params_validation():
@@ -35,16 +36,32 @@ def test_reaction_odd_symmetry(rng):
 
 
 def test_reaction_derivative_matches_differences(rng):
-    # off x = 0 the kinetics are pointwise, so q is their d/du there
+    # reaction_jacobian is d reaction/du on every node, the x = 0 node's jump
+    # correction included; off x = 0 the kinetics are pointwise, and its
+    # main diagonal is q there
     p = ModelParams(c_x=0.5, alpha=0.3, g_left=(0.2, -1.0, 0.5, 1.5),
                     g_right=(-0.4, 0.7, 1.0, -2.0))
     x = 0.25 * np.arange(-6, 7)
-    u = rng.uniform(-1.5, 1.5, (50, x.size))
-    d = 1e-6
-    fd = (reaction(x, u + d, p, 0.25) - reaction(x, u - d, p, 0.25)) / (2 * d)
     off = x != 0.0
-    np.testing.assert_allclose(reaction_derivative(x, u, p)[:, off], fd[:, off],
-                               rtol=0, atol=1e-8)
+    k = np.arange(x.size)
+    d = 1e-6
+    for u in (rng.uniform(-1.5, 1.5, x.size),
+              rng.uniform(-1.5, 1.5, (50, x.size))):
+        sub, main, sup = reaction_jacobian(x, u, p, 0.25)
+        jac = np.zeros(u.shape + (x.size,))  # [..., i, j] = d r_i / d u_j
+        jac[..., k, k] = main
+        jac[..., k[1:], k[:-1]] = sub
+        jac[..., k[:-1], k[1:]] = sup
+        for j in k:
+            e = d * (k == j)
+            fd = (reaction(x, u + e, p, 0.25) - reaction(x, u - e, p, 0.25)) / (2 * d)
+            np.testing.assert_allclose(jac[..., j], fd, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(main[..., off],
+                                      reaction_derivative(x, u, p)[..., off])
+        # the neighbours enter through the centered u_x alone, which the
+        # Newton-Krylov matvec of solve_comoving_steady relies on
+        np.testing.assert_array_equal(sub[..., :-1], -sup[..., 1:])
+        assert not sub[..., -1].any() and not sup[..., 0].any()
 
 
 def test_potential_examples():

@@ -5,7 +5,7 @@ from quenchlab.errors import DomainTooSmall, OutOfProfileRange
 from quenchlab.model import ModelParams
 from quenchlab.profiles1d import (Grid1D, analytic_tanh_profile,
                                   cn_prime_quadrature, cy_from_angle,
-                                  export_profile, normal_speed,
+                                  export_profile,
                                   solve_quench_front, solve_traveling_wave)
 
 SQRT2 = np.sqrt(2.0)
@@ -148,7 +148,7 @@ def test_cn_prime_quadrature_values():
 def test_cy_from_angle():
     grid = Grid1D.symmetric(30.0, 0.01)
     p = ModelParams(c_x=0.5, alpha=0.02, g_left=(1.0,))
-    cn = normal_speed(p, grid)
+    cn = solve_traveling_wave(p, grid).speed
     assert cy_from_angle(0.0, p, grid) == pytest.approx(cn, abs=1e-14)
     p0 = ModelParams(c_x=0.5)
     assert cy_from_angle(0.3, p0, grid) == pytest.approx(
