@@ -50,7 +50,7 @@ class IllConditioned(QuenchLabError):
 
 
 class MissingBaseline(QuenchLabError):
-    """Sweep table lacks the entries a comparison requires."""
+    """Sweep table is malformed or lacks the entries a comparison requires."""
 
 
 class ConfigError(QuenchLabError):

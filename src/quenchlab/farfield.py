@@ -150,48 +150,6 @@ def partition_of_unity(spec: PartitionSpec, x, y):
     return chi_t, chi_r, chi_b, chi_l, chi_0
 
 
-def partition_derivative_bound(spec: PartitionSpec, k: int,
-                               r_min: float | None = None,
-                               r_max: float | None = None) -> float:
-    """max over samples of |d^k chi_j| (1+r)^k for all order-k derivatives.
-
-    Zero-homogeneity of the windows in the farfield makes this bounded
-    independently of r; 48 radii cover [r_min, r_max] (defaults: the
-    radial ramp up to 10 R) and 1440 angles each, and derivatives are
-    centered differences with step 1e-3.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("derivative order k must be 0, 1, or 2")
-    r_lo = spec.R - RADIAL_RAMP_WIDTH - 0.5 if r_min is None else r_min
-    r_hi = 10.0 * spec.R if r_max is None else r_max
-    radii = np.linspace(r_lo, r_hi, 48)
-    angles = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
-    rr, tt = np.meshgrid(radii, angles)
-    x = (-rr * np.cos(tt)).ravel()
-    y = (rr * np.sin(tt)).ravel()
-
-    def stack(xx, yy):
-        return np.stack(partition_of_unity(spec, xx, yy)[:4])
-
-    if k == 0:
-        return float(np.abs(stack(x, y)).max())
-    d = 1e-3
-    if k == 1:
-        gx = (stack(x + d, y) - stack(x - d, y)) / (2 * d)
-        gy = (stack(x, y + d) - stack(x, y - d)) / (2 * d)
-        grad = np.maximum(np.abs(gx), np.abs(gy))
-        scale = (1.0 + np.hypot(x, y))[None, :]
-        return float((grad * scale).max())
-    c = stack(x, y)
-    gxx = (stack(x + d, y) - 2 * c + stack(x - d, y)) / d**2
-    gyy = (stack(x, y + d) - 2 * c + stack(x, y - d)) / d**2
-    gxy = (stack(x + d, y + d) - stack(x + d, y - d)
-           - stack(x - d, y + d) + stack(x - d, y - d)) / (4 * d**2)
-    hess = np.maximum(np.maximum(np.abs(gxx), np.abs(gyy)), np.abs(gxy))
-    scale = ((1.0 + np.hypot(x, y)) ** 2)[None, :]
-    return float((hess * scale).max())
-
-
 # ---------------------------------------------------------------------------
 # shear transform
 # ---------------------------------------------------------------------------
@@ -207,14 +165,8 @@ class ShearSpec:
             raise ValueError("need |psi| < pi/2")
 
 
-def shear_map(x, y, spec: ShearSpec):
-    """(x, y) -> (x, y + x chi^-(x) tan psi); identity for x > -1 or psi = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return x, y + x * shear_cutoff(x) * np.tan(spec.psi)
-
-
 def shear_inverse(xt, yt, spec: ShearSpec):
+    """Preimage of the shear (x, y) -> (x, y + x chi^-(x) tan psi)."""
     xt = np.asarray(xt, dtype=float)
     yt = np.asarray(yt, dtype=float)
     return xt, yt - xt * shear_cutoff(xt) * np.tan(spec.psi)
@@ -403,22 +355,20 @@ _GN_FD_PSI = 1e-6
 
 
 def solve_bordered(p: ModelParams, spec: PartitionSpec,
-                   eta: float | None = None, half_width: float = 30.0,
-                   h: float = 0.25,
+                   half_width: float = 30.0, h: float = 0.25,
                    theta: Field2D | None = None) -> CoreCorrection:
     """Solve the sheared equation for (w, psi) by a bordered Newton iteration.
 
     On the Dirichlet box the Jacobian A in w is invertible, so F = 0 has a
     solution w for every psi; the angle is the one whose solution is most
-    localized, the least |e^{eta(|x|+|y|)} w|.  Each iteration factors A
-    once, solves A a = -F and A b = dF/dpsi, and steps to w + a - dpsi b
-    with dpsi minimizing the weighted norm of that new w.  The symmetric
-    zero-angle state seeds w, and psi starts at 0.
+    localized, the least |e^{eta(|x|+|y|)} w| with eta = min(c_x, 1)/4.
+    Each iteration factors A once, solves A a = -F and A b = dF/dpsi, and
+    steps to w + a - dpsi b with dpsi minimizing the weighted norm of that
+    new w.  The symmetric zero-angle state seeds w, and psi starts at 0.
     """
-    if eta is None:
-        eta = min(p.c_x, 1.0) / 4.0
-    if not 0.0 < eta < max(p.c_x, 1e-12):
-        raise ValueError("need weight rate 0 < eta < c_x")
+    if not p.c_x > 0:
+        raise ValueError("the bordered solve needs c_x > 0")
+    eta = min(p.c_x, 1.0) / 4.0
     template = Field2D.on_rectangle(half_width, half_width, h)
     h1 = min(h / 4, 0.02)
     profiles = build_profiles(p, Grid1D.symmetric(half_width, h1),

@@ -33,6 +33,8 @@ class MelnikovReport:
     cn_prime: float
     dphi_dalpha: float
     c_x: float
+    #: error estimates by name; m_psi_truncation is a domain-truncation
+    #: estimate (see m_psi_detail), not an error bar in h
     quadrature_error: dict = field(default_factory=dict)
     geometric_term: float = 0.0
     contact_line_term: float = 0.0
@@ -47,19 +49,16 @@ def dy_centered(data: np.ndarray, hy: float) -> np.ndarray:
     return out
 
 
-def m_psi(theta: Field2D, c_x: float) -> float:
-    """Angle sensitivity -c_x * integral of (dTheta/dy)^2 e^{c_x x}.
+def m_psi_detail(theta: Field2D, c_x: float):
+    """Angle sensitivity m_psi = -c_x * integral of (dTheta/dy)^2 e^{c_x x},
+    and a truncation estimate.
 
     Trapezoid quadrature with centered differences; the exponential factor
     converges on the left because the weight decays, on the right because
-    the profile's transverse derivative does.
+    the profile's transverse derivative does.  The estimate is the change
+    when the integral is cut to the middle half of the domain in each
+    direction: it measures the domain truncation, not the h-error.
     """
-    value, _ = m_psi_detail(theta, c_x)
-    return value
-
-
-def m_psi_detail(theta: Field2D, c_x: float):
-    """m_psi plus a truncation estimate from the half-domain comparison."""
     thy = dy_centered(theta.data, theta.hy)
     w = thy**2 * np.exp(c_x * theta.x)[None, :]
     if not np.isfinite(w).all():
@@ -153,7 +152,7 @@ def build_report(theta: Field2D, u_top: Profile1D, u_bottom: Profile1D,
     # degenerate before the undefined m_alpha could matter
     ma = m_alpha(u_top, u_bottom, p, mp, cnp) if p.c_x > 0 else np.nan
     return dphi_dalpha(mp, ma, cnp, p.c_x,
-                       quadrature_error={"m_psi": mp_err,
+                       quadrature_error={"m_psi_truncation": mp_err,
                                          "contact_line": contact_err,
                                          "cn_prime": 1e-10})
 

@@ -13,8 +13,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
-from .model import (ModelParams, origin_index, poly_derivative, poly_eval,
-                    reaction, reaction_jacobian, stable_zeros, transport_1d)
+from .model import (ModelParams, origin_index, poly_eval, reaction,
+                    reaction_derivative, reaction_jacobian, stable_zeros,
+                    transport_1d)
 from .textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
@@ -109,11 +110,14 @@ class WaveSolution:
     alpha: float
 
 
-def analytic_tanh_profile(grid: Grid1D) -> Profile1D:
-    """The balanced front tanh(x/sqrt(2)) as a Profile1D reference."""
-    vals = np.tanh(grid.nodes() / SQRT2)
-    return Profile1D(grid=grid, values=vals, limit_left=-1.0, limit_right=1.0,
-                     residual_norm=0.0, kind="analytic_tanh")
+def _interior_residual(diagonals, u, kinetics):
+    """Tridiagonal operator applied to u plus the kinetics, on the interior
+    nodes; the Dirichlet end rows are 0."""
+    lower, diag, upper = diagonals
+    r = np.zeros_like(u)
+    r[1:-1] = (lower[:-1] * u[:-2] + diag[1:-1] * u[1:-1] + upper[1:] * u[2:]
+               + kinetics[1:-1])
+    return r
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
@@ -140,16 +144,13 @@ def solve_quench_front(side: str, p: ModelParams,
     branches = stable_zeros(p)
     left_val = branches.z_plus if side == "top" else branches.z_minus
     right_val = branches.z_zero
+    transport = transport_1d(grid.n, h, p.c_x)
 
     def residual(u):
-        r = np.zeros_like(u)
-        r[1:-1] = ((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-                   + p.c_x * (u[2:] - u[:-2]) / (2.0 * h)
-                   + reaction(x, u, p, h)[1:-1])
-        return r
+        return _interior_residual(transport, u, reaction(x, u, p, h))
 
     def newton_matrix(u):
-        lower, diag, upper = map(np.add, transport_1d(grid.n, h, p.c_x),
+        lower, diag, upper = map(np.add, transport,
                                  reaction_jacobian(x, u, p, h))
         # Dirichlet rows
         diag[0] = diag[-1] = 1.0
@@ -208,10 +209,12 @@ def solve_traveling_wave(p: ModelParams,
 
     The wave speed is an unknown, determined together with the profile by a
     bordered Newton iteration under the phase condition z(0) = (z_+ + z_-)/2;
-    the result is the selected normal speed.
+    the result is the selected normal speed.  The medium is bistable on the
+    whole line, so the model's kinetics are taken at a coordinate x < 0.
     """
     x = grid.nodes()
     h = grid.h
+    bistable = np.full(grid.n, -1.0)
     i_mid = grid.index_of_origin()
     try:
         branches = stable_zeros(p)
@@ -219,29 +222,19 @@ def solve_traveling_wave(p: ModelParams,
         raise NoConvergence(f"bistable branches unavailable: {exc}") from exc
     z_minus, z_plus = branches.z_minus, branches.z_plus
     mid = 0.5 * (z_plus + z_minus)
-    a = p.alpha
-    gl = p.g_left
-    glp = poly_derivative(gl)
     c = 0.0
-
-    def residual(z, c):
-        r = np.zeros_like(z)
-        r[1:-1] = ((z[:-2] - 2.0 * z[1:-1] + z[2:]) / h**2
-                   + c * (z[2:] - z[:-2]) / (2.0 * h)
-                   + z[1:-1] - z[1:-1]**3 + a * poly_eval(gl, z[1:-1]))
-        return r
-
     z = mid + 0.5 * (z_plus - z_minus) * np.tanh(x / SQRT2)
     z[0], z[-1] = z_minus, z_plus
 
     for _ in range(NEWTON_MAX_ITER):
-        r = residual(z, c)
+        lower, diag, upper = transport_1d(grid.n, h, c)
+        r = _interior_residual((lower, diag, upper), z,
+                               reaction(bistable, z, p, h))
         phase = z[i_mid] - mid
         rn = max(abs(r[1:-1]).max(), abs(phase))
         if rn < NEWTON_TOL:
             break
-        lower, diag, upper = transport_1d(grid.n, h, c)
-        diag += 1.0 - 3.0 * z**2 + a * poly_eval(glp, z)
+        diag += reaction_derivative(bistable, z, p)
         diag[0] = diag[-1] = 1.0
         upper[0] = 0.0
         lower[-1] = 0.0
@@ -267,13 +260,14 @@ def solve_traveling_wave(p: ModelParams,
     return WaveSolution(profile=profile, speed=c, alpha=p.alpha)
 
 
-def cn_prime_quadrature(g_left, half_width: float = 40.0, panels: int = 160) -> float:
+def cn_prime_quadrature(g_left) -> float:
     """Slope of the normal speed at alpha = 0 from the balanced front.
 
     Evaluates -int g_l(u*) u*' dy / int (u*')^2 dy with u* = tanh(y/sqrt 2)
     by composite Gauss-Legendre quadrature; both integrands decay like
     exp(-2*sqrt(2)|y|), so |y| <= 40 truncates far below 1e-10.
     """
+    half_width, panels = 40.0, 160
     nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(-half_width, half_width, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])

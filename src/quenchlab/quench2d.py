@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -129,9 +127,8 @@ class SemiImplicitStepper:
             if abs(c) * h >= 2.0:
                 raise LinearSolveFailure(
                     f"cell Peclet number |c_{axis}| h_{axis} = {abs(c) * h:.3g} >= 2")
-        self._a_x = _neumann_transport_1d(self.nx, self.hx, p.c_x)
         # odd_y: the trailing block of the Neumann operator on one more row
-        sub_y, main_y, sup_y = self._a_y = (
+        sub_y, main_y, sup_y = (
             tuple(a[1:] for a in _neumann_transport_1d(self.ny + 1, self.hy, 0.0))
             if odd_y else _neumann_transport_1d(self.ny, self.hy, p.c_y))
 
@@ -152,7 +149,7 @@ class SemiImplicitStepper:
 
         # Thomas coefficients of all mode systems at once, x outer, modes
         # inner: row i holds 1 / pivot_i and sup_i / pivot_i of every mode
-        sub_x, main_x, sup_x = self._a_x
+        sub_x, main_x, sup_x = _neumann_transport_1d(self.nx, self.hx, p.c_x)
         self._sub = -dt * sub_x
         shift = 1.0 - dt * lam
         pivot_inv = np.empty((self.nx, self.ny))
@@ -163,13 +160,6 @@ class SemiImplicitStepper:
             pivot_inv[i] = 1.0 / (shift - dt * main_x[i]
                                   - self._sub[i - 1] * sup_scaled[i - 1])
         self._pivot_inv, self._sup_scaled = pivot_inv, sup_scaled
-
-    @cached_property
-    def transport(self) -> sp.csr_matrix:
-        """T = I_y (x) A_x + A_y (x) I_x as a sparse matrix on the raveled field."""
-        return (sp.kron(sp.identity(self.ny), sp.diags(self._a_x, [-1, 0, 1]))
-                + sp.kron(sp.diags(self._a_y, [-1, 0, 1]), sp.identity(self.nx))
-                ).tocsr()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """u with (I - dt T) u = rhs, both (ny, nx) arrays."""
@@ -198,11 +188,6 @@ class SemiImplicitStepper:
         if peak > AMPLITUDE_CLAMP:
             raise NonFinite(f"amplitude exceeded {AMPLITUDE_CLAMP}")
         return out
-
-    def elliptic_residual(self, u: np.ndarray) -> np.ndarray:
-        """Discrete steady residual Lap u + c.grad u + reaction(u)."""
-        lin = (self.transport @ u.ravel()).reshape(u.shape)
-        return lin + self.reaction(u)
 
 
 #: run_to_steady hands every RECORD_EVERY-th step to its recorder
@@ -270,6 +255,9 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
     GMRES solves each bordered Newton system; a step is halved until the
     2-norm of the bordered residual falls.  Raises NotConverged unless
     max|Phi(u) - u| / dt reaches tol within _NK_MAX_ITER Newton steps.
+    tol bounds that residual of the dt = _NK_DT map, not the update rate
+    of a step at another dt: the implicit solve at dt = 2 damps the short
+    waves of the elliptic residual more than a smaller step does.
     """
     x, hx, hy, i0 = u0.x, u0.hx, u0.hy, origin_index(u0.x)
     j0 = int(np.abs(u0.data[:, i0]).argmin())
@@ -356,12 +344,6 @@ def solve_theta(c_x: float, half_width_x: float = 60.0, half_width_y: float = 60
     u = result.field.data
     # 0.0 - u, not -u: the mirror of a +0.0 stays +0.0
     return full.copy_with(np.concatenate([0.0 - u[::-1], np.zeros((1, full.nx)), u]))
-
-
-def elliptic_residual(u: Field2D, p: ModelParams) -> Field2D:
-    """Residual of the discrete steady comoving equation at the given field."""
-    stepper = SemiImplicitStepper(u, p, dt=1.0)
-    return u.copy_with(stepper.elliptic_residual(u.data))
 
 
 def write_field(u: Field2D, path: str):

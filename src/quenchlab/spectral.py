@@ -53,17 +53,17 @@ def quench_front_operator(profile: Profile1D, c_x: float) -> LinearOperator1D:
                                                   profile.values, _UNPERTURBED))
 
 
-def max_real_eig_1d(op: LinearOperator1D, endpoint_tol: float = 1e-5) -> float:
+def max_real_eig_1d(op: LinearOperator1D) -> float:
     """Largest eigenvalue of the discretized operator.
 
-    Requires the potential to have flattened at the truncation ends (the
-    essential-spectrum limits must be reached) and c_x h < 2 so the exact
-    symmetrizing similarity exists.
+    Requires the potential to have flattened at the truncation ends (its
+    four end values agree to 1e-5, so the essential-spectrum limits are
+    reached) and c_x h < 2 so the exact symmetrizing similarity exists.
     """
     h = op.grid.h
     n = op.grid.n
     for tail in (op.q[:4], op.q[-4:]):
-        if np.abs(tail - tail[0]).max() > endpoint_tol:
+        if np.abs(tail - tail[0]).max() > 1e-5:
             raise ValueError("potential still varies at the domain ends; "
                              "enlarge the truncation domain")
     lower, main, upper = transport_1d(n, h, op.c_x)
@@ -88,12 +88,12 @@ class KernelCheck:
     h: float
 
 
-def _apply_linearized(v, q_bar, c_x, hx, hy, sign, i0=None):
+def _apply_linearized(v, q_bar, c_x, hx, hy, sign, i0):
     """(Lap + sign*c_x d_x + q) v on the doubly-interior nodes.
 
-    At the quench column (full-grid index i0) the jump correction of the
-    alpha = 0 equation with frame speed sign*c_x is subtracted, so the
-    application stays second-order there.
+    At the quench column (full-grid index i0, None for none) the jump
+    correction of the alpha = 0 equation with frame speed sign*c_x is
+    subtracted, so the application stays second-order there.
     """
     vxx = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx**2
     vyy = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hy**2
@@ -105,13 +105,13 @@ def _apply_linearized(v, q_bar, c_x, hx, hy, sign, i0=None):
     return out
 
 
-def kernel_check_2d(theta: Field2D, c_x: float, band: int = 3) -> KernelCheck:
+def kernel_check_2d(theta: Field2D, c_x: float) -> KernelCheck:
     """Residuals of L(dTheta/dy) and L*(e^{c_x x} dTheta/dy).
 
     L = Lap + c_x d_x + mu(x) - 3 Theta^2 with centered stencils; the
     adjoint flips the advection sign, which is exactly the transpose of
-    the interior discretization.  Norms exclude a boundary band of width
-    band*h where truncation pollutes the stencils.
+    the interior discretization.  Norms exclude a boundary band of 3
+    cells, where truncation pollutes the stencils.
     """
     data = theta.data
     hx, hy = theta.hx, theta.hy
@@ -123,13 +123,13 @@ def kernel_check_2d(theta: Field2D, c_x: float, band: int = 3) -> KernelCheck:
     wv = weight * v
 
     i0 = origin_index(x)
-    fwd = _apply_linearized(v, q_bar, c_x, hx, hy, +1.0, i0=i0)
-    adj = _apply_linearized(wv, q_bar, c_x, hx, hy, -1.0, i0=i0)
+    fwd = _apply_linearized(v, q_bar, c_x, hx, hy, +1.0, i0)
+    adj = _apply_linearized(wv, q_bar, c_x, hx, hy, -1.0, i0)
 
-    k = max(band, 2)  # the dy/stencil composition already eats 2 layers
-    sl = np.s_[k:-k or None, k:-k or None]
-    inner_fwd = fwd[k - 1:-(k - 1) or None, k - 1:-(k - 1) or None]
-    inner_adj = adj[k - 1:-(k - 1) or None, k - 1:-(k - 1) or None]
+    k = 3  # the boundary band; the dy/stencil composition eats 2 layers
+    sl = np.s_[k:-k, k:-k]
+    inner_fwd = fwd[k - 1:1 - k, k - 1:1 - k]
+    inner_adj = adj[k - 1:1 - k, k - 1:1 - k]
     norm_v = np.linalg.norm(v[sl])
     norm_wv = np.linalg.norm(wv[sl])
     return KernelCheck(
@@ -137,23 +137,3 @@ def kernel_check_2d(theta: Field2D, c_x: float, band: int = 3) -> KernelCheck:
         adjoint_residual=float(np.linalg.norm(inner_adj) / norm_wv),
         h=hx,
     )
-
-
-def conjugation_defect(theta: Field2D, c_x: float, test: np.ndarray,
-                       band: int = 3) -> float:
-    """Sup defect of the intertwining L*(e^{c_x x} v) = e^{c_x x} L v.
-
-    Multiplication by e^{c_x x} maps the kernel of the linearized operator
-    into the kernel of its adjoint; discretely the identity holds to O(h^2)
-    for smooth test fields (exactly at c_x = 0).
-    """
-    data = theta.data
-    hx, hy = theta.hx, theta.hy
-    x = theta.x
-    q_bar = reaction_derivative(x, data, _UNPERTURBED)
-    weight = np.exp(c_x * x)[None, :]
-    lhs = _apply_linearized(weight * test, q_bar, c_x, hx, hy, -1.0)
-    rhs = weight[:, 1:-1] * _apply_linearized(test, q_bar, c_x, hx, hy, +1.0)
-    k = max(band - 1, 1)
-    sl = np.s_[k:-k or None, k:-k or None]
-    return float(np.abs((lhs - rhs)[sl]).max())

@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
+from oracles import shear_map
 
 from quenchlab.cli import ExperimentConfig, measure_steady_angle
 from quenchlab.farfield import (PartitionSpec, ShearedOperator, ShearSpec,
                                 build_profiles, partition_of_unity, residual_F,
-                                shear_inverse, shear_map, solve_bordered)
-from quenchlab.melnikov import build_report, m_psi
+                                shear_inverse, solve_bordered)
+from quenchlab.melnikov import build_report, m_psi_detail
 from quenchlab.model import ModelParams
 from quenchlab.profiles1d import (Grid1D, cn_prime_quadrature,
                                   solve_quench_front, solve_traveling_wave)
@@ -133,7 +134,7 @@ def test_criterion_05_angle_sensitivity_negative_and_stable():
         values = {}
         for h, dt in ((0.25, 0.25), (0.125, 0.1)):
             th = solve_theta(c_x, 30.0, 30.0, h=h, dt=dt, tol=1e-9)
-            values[h] = m_psi(th, c_x)
+            values[h] = m_psi_detail(th, c_x)[0]
         drift = abs(values[0.25] - values[0.125]) / abs(values[0.125])
         ok = ok and values[0.25] < 0 and values[0.125] < 0 and drift <= 0.01
         details.append(f"c_x={c_x}: {values[0.125]:.5f} (h-drift {100 * drift:.2f}%)")

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,6 +41,9 @@ def test_unknown_key_rejected(tmp_path):
     # the bordered solve has no ridge; old manifests name bordered.ridge
     with pytest.raises(ConfigError, match="bordered.ridge"):
         apply_setting(ExperimentConfig(), "bordered.ridge", "1e-5")
+    # the weight rate is min(c_x, 1)/4; old manifests name bordered.eta
+    with pytest.raises(ConfigError, match="bordered.eta"):
+        apply_setting(ExperimentConfig(), "bordered.eta", "0.125")
     # the drift rounds are gone with their three keys
     for key in ("measure.round_steps", "measure.max_rounds", "measure.drift_tol"):
         with pytest.raises(ConfigError, match=key):
@@ -128,6 +132,18 @@ def test_compare_prediction(tmp_path):
     assert abs(summary["relative_deviation"]) < 0.05
 
 
+def test_compare_non_numeric_cell_fails_typed(tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    table.write_text("alpha,psi_measured,psi_predicted,drift\n"
+                     "0,0,0,0\n0.02,abc,0.03,0\n")
+    with pytest.raises(MissingBaseline, match=re.escape(f"{table}:3:")):
+        compare_prediction(str(table))
+    assert main(["compare", "--out", str(tmp_path),
+                 "--set", f"compare.table={table}"]) == 1
+    err = capsys.readouterr().err
+    assert f"quenchlab: error: {table}:3:" in err and "Traceback" not in err
+
+
 def test_compare_prediction_missing_baseline(tmp_path):
     table = tmp_path / "sweep.csv"
     table.write_text("alpha,psi_measured,psi_predicted,drift\n"
@@ -151,8 +167,8 @@ def test_main_subcommands(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, settings", [
-    ("bordered", ["bordered.eta=0.9"]),
-    ("bordered", ["bordered.eta=-0.1"]),
+    ("bordered", ["bordered.half_width=0.1"]),
+    ("bordered", ["bordered.h=-0.25"]),
     ("bordered", ["model.c_x=0"]),
     ("bordered", ["bordered.R=2"]),
     ("bordered", ["bordered.h=0"]),

@@ -1,0 +1,40 @@
+"""The library holds no public code that only the tests call."""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _identifiers(node):
+    """Names, attribute names and identifier-like strings (getattr and
+    patch targets) used inside node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            yield sub.value
+
+
+def test_public_library_names_have_a_caller_in_src_or_bench():
+    """Each public module-level function or class of src/quenchlab is named
+    by some other top-level statement in src/quenchlab or bench.
+
+    A name-based ratchet: it matches identifiers, not bindings, so a
+    same-named attribute elsewhere (such as `report.m_psi` for a function
+    `m_psi`) counts as a use and hides an unused definition.
+    """
+    library = sorted((ROOT / "src" / "quenchlab").glob("*.py"))
+    files = library + sorted((ROOT / "bench").glob("*.py"))
+    statements = [(path, node) for path in files
+                  for node in ast.parse(path.read_text()).body]
+    names = [(node, set(_identifiers(node))) for _, node in statements]
+    unused = [f"{path.stem}.{node.name}" for path, node in statements
+              if path in library
+              and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not any(node.name in used for other, used in names
+                          if other is not node)]
+    assert unused == []

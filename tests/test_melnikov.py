@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from quenchlab.errors import DegenerateMpsi, NonFinite
-from quenchlab.melnikov import (build_report,
-                                contact_line_integral, dphi_dalpha, m_alpha,
-                                m_psi, m_psi_detail, write_report)
+from quenchlab.melnikov import (build_report, contact_line_integral,
+                                dphi_dalpha, m_alpha, m_psi_detail,
+                                write_report)
 from quenchlab.model import ModelParams
 from quenchlab.quench2d import Field2D
 
@@ -14,11 +14,11 @@ SQRT2 = np.sqrt(2.0)
 def test_m_psi_vanishes_for_y_independent_field():
     f = Field2D.on_rectangle(20.0, 20.0, 0.5)
     f.data[:] = np.tanh(-f.x)[None, :]
-    assert m_psi(f, 0.5) == 0.0
+    assert m_psi_detail(f, 0.5)[0] == 0.0
 
 
 def test_m_psi_negative_on_symmetric_state(theta_half_small):
-    value = m_psi(theta_half_small, 0.5)
+    value = m_psi_detail(theta_half_small, 0.5)[0]
     assert value < -0.1
 
 
@@ -31,7 +31,7 @@ def test_m_psi_detects_undecayed_boundary():
     f = Field2D.on_rectangle(10.0, 10.0, 0.5)
     f.data[:] = f.y[:, None] * np.ones_like(f.x)[None, :]
     with pytest.raises(NonFinite):
-        m_psi(f, 0.5)
+        m_psi_detail(f, 0.5)
 
 
 def test_contact_integral_zero_without_perturbation(fronts_cx_half):
@@ -42,7 +42,7 @@ def test_contact_integral_zero_without_perturbation(fronts_cx_half):
 
 def test_m_alpha_signs(theta_half_small, fronts_cx_half):
     top, bottom = fronts_cx_half
-    mp = m_psi(theta_half_small, 0.5)
+    mp = m_psi_detail(theta_half_small, 0.5)[0]
     # right-side constant forcing tilts the angle up
     p1 = ModelParams(c_x=0.5, g_right=(1.0,))
     assert m_alpha(top, bottom, p1, mp, 0.0) > 0.1
@@ -54,7 +54,7 @@ def test_m_alpha_signs(theta_half_small, fronts_cx_half):
 
 def test_m_alpha_linear_in_g(theta_half_small, fronts_cx_half):
     top, bottom = fronts_cx_half
-    mp = m_psi(theta_half_small, 0.5)
+    mp = m_psi_detail(theta_half_small, 0.5)[0]
     one = m_alpha(top, bottom, ModelParams(c_x=0.5, g_right=(1.0,)), mp, 0.0)
     two = m_alpha(top, bottom, ModelParams(c_x=0.5, g_right=(2.0,)), mp, 0.0)
     assert two == pytest.approx(2.0 * one, rel=1e-14)
@@ -107,8 +107,13 @@ def test_build_report_and_write(theta_half_small, fronts_cx_half, tmp_path):
     p = ModelParams(c_x=0.5, g_right=(1.0,))
     rep = build_report(theta_half_small, top, bottom, p)
     assert rep.m_psi < 0 and rep.m_alpha > 0 and rep.dphi_dalpha > 0
-    assert set(rep.quadrature_error) == {"m_psi", "contact_line", "cn_prime"}
+    assert set(rep.quadrature_error) == {"m_psi_truncation", "contact_line",
+                                         "cn_prime"}
     path = tmp_path / "report.txt"
     write_report(rep, str(path))
-    text = path.read_text()
-    assert "m_psi = " in text and "dphi_dalpha = " in text
+    lines = path.read_text().splitlines()
+    assert any(ln.startswith("m_psi = ") for ln in lines)
+    assert any(ln.startswith("dphi_dalpha = ") for ln in lines)
+    # a half-domain truncation estimate, named so it is not read as an h-error
+    assert any(ln.startswith("error.m_psi_truncation = ") for ln in lines)
+    assert not any(ln.startswith("error.m_psi = ") for ln in lines)

@@ -3,12 +3,18 @@ import pytest
 
 from quenchlab.errors import DomainTooSmall, OutOfProfileRange
 from quenchlab.model import ModelParams
-from quenchlab.profiles1d import (Grid1D, analytic_tanh_profile,
-                                  cn_prime_quadrature, cy_from_angle,
-                                  export_profile,
+from quenchlab.profiles1d import (Grid1D, Profile1D, cn_prime_quadrature,
+                                  cy_from_angle, export_profile,
                                   solve_quench_front, solve_traveling_wave)
 
 SQRT2 = np.sqrt(2.0)
+
+
+def analytic_tanh_profile(grid: Grid1D) -> Profile1D:
+    """The balanced front tanh(x/sqrt(2)) as a Profile1D reference."""
+    vals = np.tanh(grid.nodes() / SQRT2)
+    return Profile1D(grid=grid, values=vals, limit_left=-1.0, limit_right=1.0,
+                     residual_norm=0.0, kind="analytic_tanh")
 
 
 def test_grid_basics():

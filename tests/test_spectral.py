@@ -1,15 +1,35 @@
 import numpy as np
 import pytest
 
-from quenchlab.model import ModelParams
+from quenchlab.model import ModelParams, reaction_derivative
 from quenchlab.profiles1d import Grid1D, solve_quench_front
-from quenchlab.quench2d import solve_theta
-from quenchlab.spectral import (LinearOperator1D,
-                                conjugation_defect, kernel_check_2d,
-                                max_real_eig_1d, quench_front_operator)
+from quenchlab.quench2d import Field2D, solve_theta
+from quenchlab.spectral import (LinearOperator1D, _apply_linearized,
+                                kernel_check_2d, max_real_eig_1d,
+                                quench_front_operator)
 from quenchlab.textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
+
+
+def conjugation_defect(theta: Field2D, c_x: float, test: np.ndarray,
+                       band: int = 3) -> float:
+    """Sup defect of the intertwining L*(e^{c_x x} v) = e^{c_x x} L v.
+
+    Multiplication by e^{c_x x} maps the kernel of the linearized operator
+    into the kernel of its adjoint; discretely the identity holds to O(h^2)
+    for smooth test fields (exactly at c_x = 0).
+    """
+    data = theta.data
+    hx, hy = theta.hx, theta.hy
+    x = theta.x
+    q_bar = reaction_derivative(x, data, ModelParams())
+    weight = np.exp(c_x * x)[None, :]
+    lhs = _apply_linearized(weight * test, q_bar, c_x, hx, hy, -1.0, None)
+    rhs = weight[:, 1:-1] * _apply_linearized(test, q_bar, c_x, hx, hy, +1.0, None)
+    k = max(band - 1, 1)
+    sl = np.s_[k:-k or None, k:-k or None]
+    return float(np.abs((lhs - rhs)[sl]).max())
 
 
 def test_eig_constant_potential_matches_dirichlet_laplacian():
