@@ -351,13 +351,17 @@ def compare_prediction(table_path: str) -> dict:
         if header[:3] != ["alpha", "psi_measured", "psi_predicted"]:
             raise MissingBaseline(f"{table_path} is not a sweep table")
         for lineno, line in enumerate(fh, 2):
+            where = f"{table_path}:{lineno}"
             parts = line.strip().split(",")
             if len(parts) < 3:
-                continue
+                raise MissingBaseline(f"{where}: {len(parts)} cells, need at least 3")
             try:
-                rows[float(parts[0])] = (float(parts[1]), float(parts[2]))
+                alpha, row = float(parts[0]), (float(parts[1]), float(parts[2]))
             except ValueError as exc:
-                raise MissingBaseline(f"{table_path}:{lineno}: {exc}") from exc
+                raise MissingBaseline(f"{where}: {exc}") from exc
+            if alpha in rows:
+                raise MissingBaseline(f"{where}: repeats the row of alpha = {alpha}")
+            rows[alpha] = row
     if 0.0 not in rows:
         raise MissingBaseline("sweep table lacks the alpha = 0 baseline")
     pairs = sorted(a for a in rows if a > 0 and -a in rows)

@@ -35,23 +35,17 @@ def smoothstep_quintic(t):
     return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _smoothstep7(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
-
-
-def _smoothstep7_d1(t):
-    tc = np.clip(t, 0.0, 1.0)
-    return tc**3 * (140.0 + tc * (-420.0 + tc * (420.0 - 140.0 * tc)))
-
-
-def _smoothstep7_d2(t):
-    tc = np.clip(t, 0.0, 1.0)
-    return tc**2 * (420.0 + tc * (-1680.0 + tc * (2100.0 - 840.0 * tc)))
-
-
 #: width of the shear cutoff's ramp, which ends at x = -1
 SHEAR_RAMP_WIDTH = 4.0
+
+#: chi^- on its ramp: t^4 (35 - 84 t + 70 t^2 - 20 t^3), t = (-1 - x)/SHEAR_RAMP_WIDTH
+_SHEAR_RAMP = np.polynomial.Polynomial([0, 0, 0, 0, 35, -84, 70, -20],
+                                       domain=[-1, -1 - SHEAR_RAMP_WIDTH],
+                                       window=[0, 1])
+
+
+def _on_ramp(x):
+    return np.clip(np.asarray(x, dtype=float), -1.0 - SHEAR_RAMP_WIDTH, -1.0)
 
 
 def shear_cutoff(x):
@@ -61,28 +55,19 @@ def shear_cutoff(x):
     stencils differentiate x*chi^- twice, and a C^3 cutoff spread over many
     cells keeps those terms second-order accurate.
     """
-    return _smoothstep7((-1.0 - np.asarray(x, dtype=float)) / SHEAR_RAMP_WIDTH)
-
-
-def shear_cutoff_d1(x):
-    t = (-1.0 - np.asarray(x, dtype=float)) / SHEAR_RAMP_WIDTH
-    return -_smoothstep7_d1(t) / SHEAR_RAMP_WIDTH
-
-
-def shear_cutoff_d2(x):
-    t = (-1.0 - np.asarray(x, dtype=float)) / SHEAR_RAMP_WIDTH
-    return _smoothstep7_d2(t) / SHEAR_RAMP_WIDTH**2
+    return _SHEAR_RAMP(_on_ramp(x))
 
 
 def shear_profile_d1(x):
     """d/dx of S(x) = x*chi^-(x)."""
     x = np.asarray(x, dtype=float)
-    return shear_cutoff(x) + x * shear_cutoff_d1(x)
+    return shear_cutoff(x) + x * _SHEAR_RAMP.deriv(1)(_on_ramp(x))
 
 
 def shear_profile_d2(x):
     x = np.asarray(x, dtype=float)
-    return 2.0 * shear_cutoff_d1(x) + x * shear_cutoff_d2(x)
+    xc = _on_ramp(x)
+    return 2.0 * _SHEAR_RAMP.deriv(1)(xc) + x * _SHEAR_RAMP.deriv(2)(xc)
 
 
 # ---------------------------------------------------------------------------

@@ -203,50 +203,33 @@ def transport_1d(n: int, h: float, c: float):
             np.full(n - 1, lap + c * d1))
 
 
-def _newton_scalar(f, fp, x0, tol=_ZERO_TOL, max_iter=80):
-    x = float(x0)
-    for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) < tol:
-            return x
-        d = fp(x)
-        if d == 0.0:
-            break
-        x -= fx / d
-    raise NoConvergence(f"root iteration from {x0} stalled at residual {f(x):.3e}")
-
-
 def stable_zeros(p: ModelParams) -> EquilibriumBranches:
     """Equilibrium branches z_-(alpha) < z_0(alpha) < z_+(alpha) at p.alpha.
 
-    z_+- are the zeros of u - u^3 + alpha*g_l(u) continuing +-1 and z_0 is
-    the zero of -u - u^3 + alpha*g_r(u) continuing 0.  Raises NoConvergence
-    when Newton fails or the branches approach a fold.
+    z_+- are the zeros of the bistable kinetics u - u^3 + alpha*g_l(u)
+    continuing +-1 and z_0 is the zero of the monostable -u - u^3 +
+    alpha*g_r(u) continuing 0: one Newton iteration on the model's reaction
+    at one-sided coordinates, with no node at x = 0 (so h does not enter).
+    Raises NoConvergence when Newton fails or the branches approach a fold.
     """
-    alpha = p.alpha
-    gl, gr = p.g_left, p.g_right
-    glp, grp = poly_derivative(gl), poly_derivative(gr)
-
-    def f_l(u):
-        return u - u**3 + alpha * poly_eval(gl, u)
-
-    def fp_l(u):
-        return 1.0 - 3.0 * u**2 + alpha * poly_eval(glp, u)
-
-    def f_r(u):
-        return -u - u**3 + alpha * poly_eval(gr, u)
-
-    def fp_r(u):
-        return -1.0 - 3.0 * u**2 + alpha * poly_eval(grp, u)
-
-    z_plus = _newton_scalar(f_l, fp_l, 1.0)
-    z_minus = _newton_scalar(f_l, fp_l, -1.0)
-    z_zero = _newton_scalar(f_r, fp_r, 0.0)
+    sides, z = np.array([-1.0, 1.0, -1.0]), np.array([-1.0, 0.0, 1.0])
+    for _ in range(80):
+        f = reaction(sides, z, p, 1.0)
+        moving = ~(np.abs(f) < _ZERO_TOL)  # a converged branch stops moving
+        d = reaction_derivative(sides, z, p)[moving]
+        if not moving.any() or (d == 0.0).any():
+            break
+        z[moving] -= f[moving] / d
+    if moving.any():
+        raise NoConvergence(f"root iteration from (-1, 0, 1) stalled at residual "
+                            f"{np.abs(f).max():.3e}")
+    z_minus, z_zero, z_plus = (float(v) for v in z)
     if not (z_minus < z_zero < z_plus):
         raise NoConvergence(
             f"branches out of order: {z_minus:.4f}, {z_zero:.4f}, {z_plus:.4f}")
     if z_plus - z_zero < FOLD_SEPARATION or z_zero - z_minus < FOLD_SEPARATION:
         raise NoConvergence(
-            f"branch separation below {FOLD_SEPARATION}: alpha={alpha} is outside "
+            f"branch separation below {FOLD_SEPARATION}: alpha={p.alpha} is outside "
             "the perturbative regime")
-    return EquilibriumBranches(z_minus=z_minus, z_zero=z_zero, z_plus=z_plus, alpha=alpha)
+    return EquilibriumBranches(z_minus=z_minus, z_zero=z_zero, z_plus=z_plus,
+                               alpha=p.alpha)

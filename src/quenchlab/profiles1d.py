@@ -14,8 +14,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
 from .model import (ModelParams, origin_index, poly_eval, reaction,
-                    reaction_derivative, reaction_jacobian, stable_zeros,
-                    transport_1d)
+                    reaction_jacobian, stable_zeros, transport_1d)
 from .textio import write_entries
 
 SQRT2 = np.sqrt(2.0)
@@ -110,14 +109,22 @@ class WaveSolution:
     alpha: float
 
 
-def _interior_residual(diagonals, u, kinetics):
-    """Tridiagonal operator applied to u plus the kinetics, on the interior
-    nodes; the Dirichlet end rows are 0."""
-    lower, diag, upper = diagonals
+def _newton_system(transport, coord, u, p: ModelParams, h):
+    """Residual and Newton matrix of the 1D equation at u.
+
+    The residual is the transport diagonals applied to u plus the kinetics
+    reaction(coord, ...) on the interior nodes, 0 on the Dirichlet end rows;
+    the Newton matrix is those diagonals plus reaction_jacobian, with
+    identity end rows.
+    """
+    lower, diag, upper = transport
     r = np.zeros_like(u)
     r[1:-1] = (lower[:-1] * u[:-2] + diag[1:-1] * u[1:-1] + upper[1:] * u[2:]
-               + kinetics[1:-1])
-    return r
+               + reaction(coord, u, p, h)[1:-1])
+    lower, diag, upper = map(np.add, transport, reaction_jacobian(coord, u, p, h))
+    diag[0] = diag[-1] = 1.0
+    upper[0] = lower[-1] = 0.0
+    return r, (lower, diag, upper)
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
@@ -145,40 +152,22 @@ def solve_quench_front(side: str, p: ModelParams,
     left_val = branches.z_plus if side == "top" else branches.z_minus
     right_val = branches.z_zero
     transport = transport_1d(grid.n, h, p.c_x)
-
-    def residual(u):
-        return _interior_residual(transport, u, reaction(x, u, p, h))
-
-    def newton_matrix(u):
-        lower, diag, upper = map(np.add, transport,
-                                 reaction_jacobian(x, u, p, h))
-        # Dirichlet rows
-        diag[0] = diag[-1] = 1.0
-        upper[0] = 0.0
-        lower[-1] = 0.0
-        return lower, diag, upper
-
     mid = 0.5 * (left_val + right_val)
     amp = 0.5 * (left_val - right_val)
     u = mid + amp * np.tanh(-x / 2.0)
     u[0], u[-1] = left_val, right_val
 
-    def masked_norm(r):
-        return max(abs(r[1:-1]).max(), 0.0)
-
+    r, matrix = _newton_system(transport, x, u, p, h)
     for _ in range(NEWTON_MAX_ITER):
-        r = residual(u)
-        rn = masked_norm(r)
+        rn = np.abs(r).max()
         if rn < NEWTON_TOL:
             break
-        lower, diag, upper = newton_matrix(u)
-        rhs = -r
-        rhs[0] = rhs[-1] = 0.0
-        du = _tridiag_solve(lower, diag, upper, rhs)
+        du = _tridiag_solve(*matrix, -r)
         step = 1.0
         for _ in range(50):
             trial = u + step * du
-            if masked_norm(residual(trial)) < rn:
+            r, matrix = _newton_system(transport, x, trial, p, h)
+            if np.abs(r).max() < rn:
                 u = trial
                 break
             step *= 0.5
@@ -187,11 +176,10 @@ def solve_quench_front(side: str, p: ModelParams,
     else:
         raise NoConvergence(f"quench front did not reach tol={NEWTON_TOL}")
 
-    for end in (0, -1):
-        grad = abs(u[end + 1] - u[end]) / h if end == 0 else abs(u[end] - u[end - 1]) / h
-        if grad > TRUNCATION_GRADIENT_TOL:
-            raise DomainTooSmall(
-                f"endpoint gradient {grad:.2e} exceeds {TRUNCATION_GRADIENT_TOL}")
+    grad = max(abs(u[1] - u[0]), abs(u[-1] - u[-2])) / h
+    if grad > TRUNCATION_GRADIENT_TOL:
+        raise DomainTooSmall(
+            f"endpoint gradient {grad:.2e} exceeds {TRUNCATION_GRADIENT_TOL}")
     # strict monotonicity, up to rounding ties in the saturated tails
     diffs = np.diff(u)
     if side == "top" and not np.all(diffs < 1e-12):
@@ -227,24 +215,16 @@ def solve_traveling_wave(p: ModelParams,
     z[0], z[-1] = z_minus, z_plus
 
     for _ in range(NEWTON_MAX_ITER):
-        lower, diag, upper = transport_1d(grid.n, h, c)
-        r = _interior_residual((lower, diag, upper), z,
-                               reaction(bistable, z, p, h))
+        r, matrix = _newton_system(transport_1d(grid.n, h, c), bistable, z, p, h)
         phase = z[i_mid] - mid
-        rn = max(abs(r[1:-1]).max(), abs(phase))
+        rn = max(np.abs(r).max(), abs(phase))
         if rn < NEWTON_TOL:
             break
-        diag += reaction_derivative(bistable, z, p)
-        diag[0] = diag[-1] = 1.0
-        upper[0] = 0.0
-        lower[-1] = 0.0
-        rhs = -r
-        rhs[0] = rhs[-1] = 0.0
         # bordered elimination: zcol is the speed column of the Jacobian
         zcol = np.zeros_like(z)
         zcol[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
-        pvec = _tridiag_solve(lower, diag, upper, rhs)
-        qvec = _tridiag_solve(lower, diag, upper, zcol)
+        pvec = _tridiag_solve(*matrix, -r)
+        qvec = _tridiag_solve(*matrix, zcol)
         denom = qvec[i_mid]
         if abs(denom) < 1e-14:
             raise NoConvergence("phase condition degenerate")

@@ -144,6 +144,23 @@ def test_compare_non_numeric_cell_fails_typed(tmp_path, capsys):
     assert f"quenchlab: error: {table}:3:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("0,0,0,0\n0.02,0.033\n-0.02,-0.033,-0.0339,0\n", 3, "2 cells"),
+    ("-0.02,-0.033,-0.0339,0\n0,0.0001,0,0\n0.02,0.033,0.0339,0\n"
+     "0.02,0.5,0.0339,0\n", 5, "repeats the row of alpha = 0.02"),
+], ids=["short row", "repeated alpha"])
+def test_compare_rejects_short_and_repeated_rows(tmp_path, capsys, rows, line,
+                                                 message):
+    # neither row may be dropped or overwritten without a word
+    table = tmp_path / "sweep.csv"
+    table.write_text("alpha,psi_measured,psi_predicted,drift\n" + rows)
+    with pytest.raises(MissingBaseline, match=re.escape(f"{table}:{line}: {message}")):
+        compare_prediction(str(table))
+    assert main(["compare", "--out", str(tmp_path),
+                 "--set", f"compare.table={table}"]) == 1
+    assert f"quenchlab: error: {table}:{line}:" in capsys.readouterr().err
+
+
 def test_compare_prediction_missing_baseline(tmp_path):
     table = tmp_path / "sweep.csv"
     table.write_text("alpha,psi_measured,psi_predicted,drift\n"

@@ -353,6 +353,30 @@ def test_bordered_slope_matches_selection_integrals(theta_half_mid,
     assert abs(slope - report.dphi_dalpha) / report.dphi_dalpha < 0.10
 
 
+def test_bordered_and_predicted_slopes_agree_in_the_limit(theta_half_mid,
+                                                         theta_half_fine,
+                                                         fronts_cx_half):
+    # two of the three methods at the linear slope, each extrapolated from
+    # two grids assuming O(h^2): bordered psi/alpha at alpha = 0.01 from
+    # h = 0.5 and 0.25, the selection integrals' dphi/dalpha from theta at
+    # h = 0.25 and 0.125: 1.693201 and 1.692784, a gap of 2.46e-4 relative
+    from quenchlab.melnikov import build_report
+
+    def richardson(coarse, fine):
+        return (4.0 * fine - coarse) / 3.0
+
+    alpha = 0.01
+    p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
+    bordered = richardson(*(solve_bordered(p, PartitionSpec(R=12.0),
+                                           half_width=20.0, h=h).psi / alpha
+                            for h in (0.5, 0.25)))
+    top, bottom = fronts_cx_half
+    predicted = richardson(*(build_report(theta, top, bottom,
+                                          p.replace(alpha=0.0)).dphi_dalpha
+                             for theta in (theta_half_mid, theta_half_fine)))
+    assert abs(bordered - predicted) / predicted <= 9e-4
+
+
 def test_save_correction_roundtrip(bordered_zero, tmp_path):
     cc = bordered_zero
     base = str(tmp_path / "core")

@@ -1,6 +1,9 @@
 """The library holds no public code that only the tests call."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,3 +41,15 @@ def test_public_library_names_have_a_caller_in_src_or_bench():
               and not any(node.name in used for other, used in names
                           if other is not node)]
     assert unused == []
+
+
+def test_bench_hooks_find_their_targets():
+    """bench/spans.py hooks quenchlab's callables by name, and a hook whose
+    target is gone reads 0 in its per-layer metrics.  Only the hook on
+    `cli.measure_drift`, which no longer exists, may miss."""
+    code = ("import spans; t = spans.Tracer(timed=True); spans.install(t); "
+            "print(t.missing)")
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "bench"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "['quenchlab.cli.measure_drift']"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,15 @@ def test_fold_detection():
     # beyond the cusp of u - u^3 + alpha the bistable pair disappears
     with pytest.raises(NoConvergence):
         stable_zeros(ModelParams(alpha=0.4, g_left=(1.0,)))
+
+
+def test_stable_zeros_zero_derivative_fails_typed():
+    # u - u^3 + 2u has a zero derivative at the Newton starts +-1: the
+    # iteration must stop with NoConvergence, not divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            stable_zeros(ModelParams(alpha=1.0, g_left=(0.0, 2.0)))
 
 
 def test_side_average_sampling():
