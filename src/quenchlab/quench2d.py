@@ -8,6 +8,7 @@ stepper solve the discrete elliptic comoving equation exactly.
 """
 from __future__ import annotations
 
+import ctypes
 import struct
 from dataclasses import dataclass, field
 
@@ -259,6 +260,8 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
     of a step at another dt: the implicit solve at dt = 2 damps the short
     waves of the elliptic residual more than a smaller step does.
     """
+    # glibc M_MMAP_THRESHOLD (-3) fixed: each Krylov basis is mapped afresh, RSS repeats
+    getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-3, 4 << 20)
     x, hx, hy, i0 = u0.x, u0.hx, u0.hy, origin_index(u0.x)
     j0 = int(np.abs(u0.data[:, i0]).argmin())
     shape, n, phase = u0.data.shape, u0.data.size, j0 * u0.nx + i0

@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +12,7 @@ from scipy.sparse.linalg import spsolve
 from quenchlab.errors import LinearSolveFailure, NonFinite, NotConverged
 from quenchlab.model import ModelParams, origin_index
 from quenchlab.profiles1d import Grid1D, solve_quench_front
+from quenchlab import quench2d
 from quenchlab.quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
                                 read_field, run_to_steady, solve_theta,
                                 write_field)
@@ -241,3 +247,35 @@ def test_field_csv_export(tmp_path):
     want = "x,y,u\n" + "".join(f"{f.x[i]:.17g},{f.y[j]:.17g},{f.data[j, i]:.17g}\n"
                                for j in range(f.ny) for i in range(f.nx))
     assert path.read_text() == want
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_steady_solve_returns_large_blocks_when_freed():
+    # adaptive, glibc serves the second and third 13 MiB block (a Krylov
+    # basis of the sweep grid) from the heap and keeps it resident when
+    # freed; after a steady solve each one leaves the resident set
+    code = """if True:
+        import sys, numpy as np
+        from quenchlab.model import ModelParams
+        from quenchlab.quench2d import Field2D, solve_comoving_steady
+        def rss():
+            with open("/proc/self/status") as fh:
+                return next(int(l.split()[1]) for l in fh if l.startswith("VmRSS"))
+        if sys.argv[1] == "solve":
+            solve_comoving_steady(Field2D.on_rectangle(4.0, 4.0, 0.5),
+                                  ModelParams(c_x=0.5), np.inf)
+        for _ in range(3):
+            block = np.ones(13 << 17)
+            before = rss()
+            del block
+            print((before - rss()) / 1024)
+        """
+    src = os.path.dirname(os.path.dirname(quench2d.__file__))
+    released = {}
+    for how in ("solve", "none"):
+        out = subprocess.run([sys.executable, "-c", code, how], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        released[how] = [float(v) for v in out.stdout.split()]
+    assert min(released["solve"]) > 12.5
+    assert max(released["none"][1:]) < 0.5
