@@ -141,10 +141,13 @@ def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentC
 def validate_config(cfg: ExperimentConfig):
     if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; choose one of {MODES}")
-    if cfg.c_x < 0:
+    # "not x > 0" rather than "x <= 0": NaN fails every comparison
+    if not cfg.c_x >= 0:
         raise ConfigError("model.c_x must be >= 0")
-    if cfg.solver_dt <= 0 or cfg.solver_tol <= 0:
+    if not (cfg.solver_dt > 0 and cfg.solver_tol > 0):
         raise ConfigError("solver.dt and solver.tol must be positive")
+    if not cfg.measure_steady_tol > 0:
+        raise ConfigError("measure.steady_tol must be positive")
     if cfg.solver_max_steps < 1:
         raise ConfigError("solver.max_steps must be at least 1")
     if len(cfg.g_left) > 4 or len(cfg.g_right) > 4:
@@ -160,7 +163,7 @@ def validate_config(cfg: ExperimentConfig):
         if not getattr(cfg, width) >= getattr(cfg, h):
             raise ConfigError(f"{_ATTR_TO_KEY[width]} must be at least "
                               f"{_ATTR_TO_KEY[h]}")
-    if cfg.bordered_R <= 2:
+    if not cfg.bordered_R > 2:
         raise ConfigError("bordered.R must exceed 2")
     if not cfg.measure_window_lo < cfg.measure_window_hi <= -5:
         raise ConfigError("measure.window_lo < measure.window_hi <= -5 required")

@@ -373,6 +373,10 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
         return float(np.linalg.norm(weight * res.ravel()) * h)
 
     for it in range(_GN_MAX_ITER):
+        # the last iteration's factor (about 50 MB at L = 30, h = 0.25) and
+        # Jacobian are dead: release them before this one's are built, so
+        # that one factorization at a time is resident
+        lu = A = None
         r, v = residual_F(w, psi, spec, profiles, op)
         rp, _ = residual_F(w, psi + _GN_FD_PSI, spec, profiles, op)
         rm, _ = residual_F(w, psi - _GN_FD_PSI, spec, profiles, op)
@@ -402,7 +406,7 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
             break
     r, _ = residual_F(w, psi, spec, profiles, op)
     rn = weighted_norm(r)
-    if rn > _GN_RESIDUAL_TARGET:
+    if not rn <= _GN_RESIDUAL_TARGET:  # a NaN residual fails too
         raise NotConverged(
             f"weighted residual {rn:.3e} above target {_GN_RESIDUAL_TARGET} "
             f"after {it + 1} iterations")

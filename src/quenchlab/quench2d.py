@@ -260,6 +260,8 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
     of a step at another dt: the implicit solve at dt = 2 damps the short
     waves of the elliptic residual more than a smaller step does.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol}")
     # glibc M_MMAP_THRESHOLD (-3) fixed: each Krylov basis is mapped afresh, RSS repeats
     getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-3, 4 << 20)
     x, hx, hy, i0 = u0.x, u0.hx, u0.hy, origin_index(u0.x)
@@ -372,11 +374,12 @@ def read_field(path: str) -> Field2D:
 
 
 def export_field_csv(u: Field2D, path: str):
-    """Plain CSV (x, y, u) for plotting."""
+    """Plain CSV (x, y, u) for plotting, written one grid row at a time so
+    that no more than a row of text is held in memory."""
     xs = [f"{x:.17g}," for x in u.x.tolist()]
-    lines = ["x,y,u\n"]
-    for y, row in zip(u.y.tolist(), u.data.tolist()):
-        y_str = f"{y:.17g},"
-        lines.extend(f"{x}{y_str}{v:.17g}\n" for x, v in zip(xs, row))
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write("x,y,u\n")
+        for y, row in zip(u.y.tolist(), u.data):
+            y_str = f"{y:.17g},"
+            fh.write("".join(f"{x}{y_str}{v:.17g}\n"
+                             for x, v in zip(xs, row.tolist())))

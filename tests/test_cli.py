@@ -198,6 +198,13 @@ def test_main_subcommands(tmp_path, capsys):
     ("profile", ["grid1d.half_width=0"]),
     ("profile", ["grid1d.half_width=0.01"]),
     ("sweep", ["model.c_x=0", "sweep.alphas=0"]),
+    # NaN fails every comparison, so each bound must be written to reject it
+    ("sweep", ["measure.steady_tol=nan"]),
+    ("sweep", ["measure.steady_tol=0"]),
+    ("theta", ["solver.tol=nan"]),
+    ("theta", ["solver.dt=nan"]),
+    ("bordered", ["bordered.R=nan"]),
+    ("bordered", ["model.c_x=nan"]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from oracles import elliptic_residual, shear_map
 
+from quenchlab import farfield
 from quenchlab.farfield import (_GN_STEP_TOL, RADIAL_RAMP_WIDTH, PartitionSpec,
                                 ShearedOperator, ShearSpec, ansatz_sheared,
                                 build_profiles, farfield_ansatz,
@@ -308,6 +311,31 @@ def test_bordered_factor_fill_below_default_order(bordered_small, bordered_zero)
     v = ansatz_sheared(X, Y, cc.psi, profiles, spec) + cc.w.data
     A = ShearedOperator(cc.w, p).jacobian(v, cc.psi, profiles.c_y(cc.psi))
     assert cc.history[-1][3] <= 0.7 * spla.splu(A).nnz
+
+
+def test_bordered_holds_one_factor_at_a_time(bordered_small, monkeypatch):
+    # a factor at L = 30, h = 0.25 is about 50 MB: the previous iteration's
+    # must be gone before the next one is built
+    live, at_call = [0], []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve, self.nnz = lu.solve, lu.nnz
+            live[0] += 1
+
+        def __del__(self):
+            live[0] -= 1
+
+    def splu(A, **kw):
+        at_call.append(live[0])
+        return Factor(spla.splu(A, **kw))
+
+    monkeypatch.setattr(farfield, "spla", SimpleNamespace(splu=splu))
+    _, spec, kw = bordered_small
+    p = ModelParams(c_x=0.5, g_right=(1.0,), alpha=0.05)
+    cc = solve_bordered(p, spec, **kw)
+    assert len(at_call) == cc.iterations == 7
+    assert at_call == [0] * cc.iterations
 
 
 def test_bordered_angle_odd_in_alpha(bordered_small):

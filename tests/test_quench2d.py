@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from quenchlab.model import ModelParams, origin_index
 from quenchlab.profiles1d import Grid1D, solve_quench_front
 from quenchlab import quench2d
 from quenchlab.quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
-                                read_field, run_to_steady, solve_theta,
-                                write_field)
+                                read_field, run_to_steady, solve_comoving_steady,
+                                solve_theta, write_field)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -247,6 +248,25 @@ def test_field_csv_export(tmp_path):
     want = "x,y,u\n" + "".join(f"{f.x[i]:.17g},{f.y[j]:.17g},{f.data[j, i]:.17g}\n"
                                for j in range(f.ny) for i in range(f.nx))
     assert path.read_text() == want
+    # written row by row: the traced peak stays far below the file's size
+    f = Field2D.on_rectangle(50.0, 50.0, 0.5)
+    f.data[:] = np.random.default_rng(12).standard_normal(f.data.shape)
+    tracemalloc.start()
+    try:
+        export_field_csv(f, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (f.nx, f.ny) == (201, 201)
+    assert peak < path.stat().st_size / 10
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-7])
+def test_steady_solve_rejects_non_positive_tolerance(tol):
+    # "while res > tol" would end at once on a NaN tol and return the start
+    u0 = Field2D.on_rectangle(4.0, 4.0, 0.5)
+    with pytest.raises(ValueError, match="tol"):
+        solve_comoving_steady(u0, ModelParams(c_x=0.5), tol)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
