@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .errors import DomainTooSmall, NoConvergence, OutOfProfileRange
+from .errors import (DomainTooSmall, LinearSolveFailure, NoConvergence,
+                     OutOfProfileRange)
 from .model import (ModelParams, origin_index, poly_eval, reaction,
                     reaction_jacobian, stable_zeros, transport_1d)
 from .textio import write_entries
@@ -128,11 +129,11 @@ def _newton_system(transport, coord, u, p: ModelParams, h):
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
+    """x with (lower, diag, upper) x = rhs, for one or several columns."""
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info:
+        raise LinearSolveFailure(f"singular Newton matrix (dgtsv info {info})")
+    return x
 
 
 def solve_quench_front(side: str, p: ModelParams,
@@ -223,8 +224,7 @@ def solve_traveling_wave(p: ModelParams,
         # bordered elimination: zcol is the speed column of the Jacobian
         zcol = np.zeros_like(z)
         zcol[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
-        pvec = _tridiag_solve(*matrix, -r)
-        qvec = _tridiag_solve(*matrix, zcol)
+        pvec, qvec = _tridiag_solve(*matrix, np.column_stack((-r, zcol))).T
         denom = qvec[i_mid]
         if abs(denom) < 1e-14:
             raise NoConvergence("phase condition degenerate")

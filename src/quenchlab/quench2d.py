@@ -2,8 +2,9 @@
 
 Semi-implicit (IMEX) time stepping for u_t = Lap(u) + c_x u_x + c_y u_y
 + mu(x) u - u^3 + alpha g(x, u) with homogeneous Neumann boundaries; the
-stiff linear transport part is implicit (solved exactly in a y eigenbasis
-with tridiagonal sweeps in x), the reaction explicit.  Steady states of the
+stiff linear transport part is implicit (solved exactly in a y eigenbasis:
+one LAPACK tridiagonal LU of all mode systems at construction, one solve
+on it per step), the reaction explicit.  Steady states of the
 stepper solve the discrete elliptic comoving equation exactly.
 """
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import LinearSolveFailure, NonFinite, NotConverged
@@ -106,9 +108,11 @@ class SemiImplicitStepper:
     solved exactly by fast diagonalization (Lynch, Rice and Thomas 1964):
     A_y = V diag(lam) V^-1 with V = D^-1 Q from the symmetric tridiagonal
     D A_y D^-1 = Q diag(lam) Q^T, then one tridiagonal system
-    ((1 - dt lam_k) I - dt A_x) u_k = r_k per y mode k, all modes swept
-    together along x.  With odd_y the template holds the rows y = h..L_y
-    of a field odd in y, below which the row y = 0 is held at zero.
+    ((1 - dt lam_k) I - dt A_x) u_k = r_k per y mode k.  All mode systems
+    share one band, factored once by LAPACK's dgttrf; a solve is one dgttrs
+    between the two mode transforms.  With odd_y the template holds the
+    rows y = h..L_y of a field odd in y, below which the row y = 0 is held
+    at zero.
     """
 
     def __init__(self, template: Field2D, p: ModelParams, dt: float,
@@ -148,34 +152,21 @@ class SemiImplicitStepper:
         self._to_modes = q.T * d[None, :]      # V^-1 = Q^T D
         self._from_modes = q / d[:, None]      # V = D^-1 Q
 
-        # Thomas coefficients of all mode systems at once, x outer, modes
-        # inner: row i holds 1 / pivot_i and sup_i / pivot_i of every mode
+        # the systems ((1 - dt lam_k) I - dt A_x) of all modes k along one
+        # band, mode-major; the zero off-diagonal entry where one mode's
+        # block meets the next keeps the modes apart
         sub_x, main_x, sup_x = _neumann_transport_1d(self.nx, self.hx, p.c_x)
-        self._sub = -dt * sub_x
-        shift = 1.0 - dt * lam
-        pivot_inv = np.empty((self.nx, self.ny))
-        sup_scaled = np.empty((self.nx - 1, self.ny))
-        pivot_inv[0] = 1.0 / (shift - dt * main_x[0])
-        for i in range(1, self.nx):
-            sup_scaled[i - 1] = -dt * sup_x[i - 1] * pivot_inv[i - 1]
-            pivot_inv[i] = 1.0 / (shift - dt * main_x[i]
-                                  - self._sub[i - 1] * sup_scaled[i - 1])
-        self._pivot_inv, self._sup_scaled = pivot_inv, sup_scaled
+        *self._lu, info = dgttrf(
+            np.tile(np.append(-dt * sub_x, 0.0), self.ny)[:-1],
+            ((1.0 - dt * lam)[:, None] - dt * main_x).ravel(),
+            np.tile(np.append(-dt * sup_x, 0.0), self.ny)[:-1])
+        if info:
+            raise LinearSolveFailure(f"mode systems singular (dgttrf info {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """u with (I - dt T) u = rhs, both (ny, nx) arrays."""
-        w = rhs.T @ self._to_modes.T           # (nx, ny): x outer, modes inner
-        pivot_inv, sup_scaled, sub = self._pivot_inv, self._sup_scaled, self._sub
-        tmp = np.empty(self.ny)
-        w[0] *= pivot_inv[0]
-        for i in range(1, self.nx):
-            np.multiply(w[i - 1], sub[i - 1], out=tmp)
-            w[i] -= tmp
-            w[i] *= pivot_inv[i]
-        for i in range(self.nx - 2, -1, -1):
-            np.multiply(w[i + 1], sup_scaled[i], out=tmp)
-            w[i] -= tmp
-        return self._from_modes @ w.T
+        w, _ = dgttrs(*self._lu, (self._to_modes @ rhs).ravel(), overwrite_b=True)
+        return self._from_modes @ w.reshape(self.ny, self.nx)
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """The model's discrete kinetics on this grid."""

@@ -205,6 +205,11 @@ def test_main_subcommands(tmp_path, capsys):
     ("theta", ["solver.dt=nan"]),
     ("bordered", ["bordered.R=nan"]),
     ("bordered", ["model.c_x=nan"]),
+    ("bordered", ["model.alpha=nan", "bordered.half_width=10", "bordered.h=0.5",
+                  "bordered.R=4"]),
+    ("melnikov", ["model.g_right=nan"]),
+    ("simulate", ["model.c_y=nan"]),
+    ("sweep", ["sweep.alphas=nan"]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]

@@ -205,6 +205,22 @@ def test_solve_matches_sparse_direct_solve(c_y):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_odd_y_solve_matches_sparse_direct_solve():
+    # rows y = h..L_y; below them the row y = 0 of f_ext is held at zero, so
+    # the system is the trailing block of the operator on f_ext
+    f = Field2D(nx=41, ny=13, x0=-6.0, y0=0.4, hx=0.3, hy=0.4)
+    f_ext = Field2D(nx=f.nx, ny=f.ny + 1, x0=f.x0, y0=0.0, hx=f.hx, hy=f.hy)
+    dt = 0.25
+    p = ModelParams(c_x=0.5)
+    stepper = SemiImplicitStepper(f, p, dt, odd_y=True)
+    r = np.random.default_rng(6).uniform(-1.0, 1.0, f.data.shape)
+    n = f_ext.nx * f_ext.ny
+    system = (sp.identity(n) - dt * transport(f_ext, p)).tocsc()[f.nx:, f.nx:]
+    want = spsolve(system, r.ravel()).reshape(r.shape)
+    got = stepper.solve(r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("c_x, c_y, half_y, match", [
     (8.0, 0.0, 5.0, "cell Peclet"),     # |c_x| h = 2
     (0.5, -8.0, 5.0, "cell Peclet"),
