@@ -150,8 +150,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("measure.steady_tol must be positive")
     if cfg.solver_max_steps < 1:
         raise ConfigError("solver.max_steps must be at least 1")
-    for attr in ("alpha", "c_y", "g_left", "g_right", "sweep_alphas"):
-        if not np.isfinite(getattr(cfg, attr)).all():
+    for attr, kind in _FIELD_TYPES.items():
+        if kind in (float, tuple) and not np.isfinite(getattr(cfg, attr)).all():
             raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be finite")
     if len(cfg.g_left) > 4 or len(cfg.g_right) > 4:
         raise ConfigError("perturbation polynomials must have degree <= 3")

@@ -196,10 +196,7 @@ def build_profiles(p: ModelParams, front_grid: Grid1D,
     top = solve_quench_front("top", p, front_grid)
     bottom = solve_quench_front("bottom", p, front_grid)
     wave = solve_traveling_wave(p, wave_grid)
-    prof = wave.profile
-    xs = prof.grid.nodes()
-    from scipy.optimize import brentq
-    offset = brentq(lambda s: float(prof.values_at(s)), xs[0] / 2, xs[-1] / 2)
+    offset = wave.profile.zero()
     if abs(offset) < 1e-9:
         offset = 0.0
     z_zero = stable_zeros(p).z_zero

@@ -7,7 +7,8 @@ relation between normal speed, frame speed, and interface angle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -79,13 +80,14 @@ class Profile1D:
     residual_norm: float
     kind: str
 
-    _spline: object = field(default=None, repr=False, compare=False)
+    @cached_property
+    def _pieces(self) -> np.ndarray:
+        return _not_a_knot_pieces(self.grid.nodes(), self.values)
 
     def values_at(self, x):
-        """Cubic interpolation; beyond the grid, converged tails extend by their limits."""
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self.grid.nodes(), self.values)
+        """Not-a-knot cubic interpolation, bit for bit scipy's spline of that
+        kind (same slope system, Hermite pieces and order of summation);
+        beyond the grid, converged tails extend by their limits."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.grid.x_min, self.grid.x_max
         below, above = x < lo, x > hi
@@ -95,10 +97,26 @@ class Profile1D:
         if above.any() and abs(self.values[-1] - self.limit_right) > TAIL_TOL:
             raise OutOfProfileRange(
                 f"x > {hi} requested but the right tail has not converged")
-        out = self._spline(np.clip(x, lo, hi))
+        x = np.clip(x, lo, hi)
+        nodes = self.grid.nodes()
+        cell = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+        c3, c2, c1, c0 = self._pieces[:, cell]
+        z = x - nodes[cell]
+        zz = z * z
+        out = c0 + c1 * z + c2 * zz + c3 * (zz * z)
         out = np.where(below, self.limit_left, out)
         out = np.where(above, self.limit_right, out)
         return out if out.ndim else float(out)
+
+    def zero(self) -> float:
+        """Zero of an increasing profile's cubic: Newton's method on the piece
+        of the cell where the values change sign, from the cell's left node."""
+        cell = int(np.argmax(self.values > 0)) - 1
+        c3, c2, c1, c0 = self._pieces[:, cell]
+        z = 0.0
+        for _ in range(5):
+            z -= (((c3 * z + c2) * z + c1) * z + c0) / ((3 * c3 * z + 2 * c2) * z + c1)
+        return float(self.grid.nodes()[cell] + z)
 
 
 @dataclass
@@ -132,8 +150,28 @@ def _tridiag_solve(lower, diag, upper, rhs):
     """x with (lower, diag, upper) x = rhs, for one or several columns."""
     *_, x, info = dgtsv(lower, diag, upper, rhs)
     if info:
-        raise LinearSolveFailure(f"singular Newton matrix (dgtsv info {info})")
+        raise LinearSolveFailure(f"singular tridiagonal matrix (dgtsv info {info})")
     return x
+
+
+def _not_a_knot_pieces(x, y) -> np.ndarray:
+    """Cubic Hermite pieces of the not-a-knot spline through (x, y), n >= 4:
+    power-form coefficients, highest power first, one column per cell.
+
+    The node slopes solve scipy's tridiagonal system for this spline with
+    scipy's arithmetic, so the pieces agree with scipy's bit for bit.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    rhs = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]))
+    s = _tridiag_solve(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), rhs)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def solve_quench_front(side: str, p: ModelParams,

@@ -183,6 +183,9 @@ def test_main_subcommands(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_TINY_GRID2D = ["grid2d.half_width_x=10", "grid2d.half_width_y=10", "grid2d.h=0.5"]
+
+
 @pytest.mark.parametrize("mode, settings", [
     ("bordered", ["bordered.half_width=0.1"]),
     ("bordered", ["bordered.h=-0.25"]),
@@ -210,6 +213,15 @@ def test_main_subcommands(tmp_path, capsys):
     ("melnikov", ["model.g_right=nan"]),
     ("simulate", ["model.c_y=nan"]),
     ("sweep", ["sweep.alphas=nan"]),
+    # inf passes "> 0" and ">=" bounds, so every float setting must be finite
+    ("simulate", ["solver.tol=inf"] + _TINY_GRID2D),
+    ("theta", ["solver.tol=inf"] + _TINY_GRID2D),
+    ("sweep", ["measure.steady_tol=inf", "sweep.alphas=0.02", "model.g_right=1",
+               "grid2d.half_width_x=24", "grid2d.half_width_y=24", "grid2d.h=0.5"]),
+    ("theta", ["grid2d.half_width_x=inf"]),
+    ("profile", ["grid1d.half_width=inf"]),
+    ("bordered", ["bordered.half_width=inf"]),
+    ("sweep", ["measure.window_lo=-inf"]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]
@@ -296,18 +308,24 @@ def test_measured_field_is_steady():
     assert result["history"] and result["history"][-1][0] == result["update_rate"]
 
 
-def test_cli_import_leaves_out_unused_scipy_modules():
-    # the cli defers scipy.interpolate and scipy.optimize to their callers;
-    # model is numpy-only and loads no scipy at all
+def test_cli_import_leaves_out_unused_scipy_modules(tmp_path):
+    # no mode loads scipy.interpolate or scipy.optimize, a bordered solve
+    # included; model is numpy-only and loads no scipy at all
     src = os.path.dirname(os.path.dirname(quench2d.__file__))
-    for module, prefixes in (("cli", "('scipy.interpolate', 'scipy.optimize')"),
-                             ("model", "'scipy'")):
-        code = (f"import sys, quenchlab.{module}; print(sorted(m for m in "
+    bordered = ("from quenchlab.cli import main; assert main(['bordered', "
+                f"'--out', {str(tmp_path)!r}, '--set', 'bordered.half_width=12', "
+                "'--set', 'bordered.h=0.5', '--set', 'bordered.R=4', "
+                "'--set', 'model.alpha=0.1', '--set', 'model.g_right=1']) == 0")
+    for run_code, prefixes in (
+            ("import quenchlab.cli", "('scipy.interpolate', 'scipy.optimize')"),
+            (bordered, "('scipy.interpolate', 'scipy.optimize')"),
+            ("import quenchlab.model", "'scipy'")):
+        code = (f"import sys; {run_code}; print(sorted(m for m in "
                 f"sys.modules if m.startswith({prefixes})))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "[]", module
+        assert out.stdout.strip().splitlines()[-1] == "[]", run_code
 
 
 def test_simulate_mode(tmp_path):

@@ -139,6 +139,25 @@ def profiles_zero():
                           Grid1D.symmetric(60.0, 0.02))
 
 
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+@pytest.mark.parametrize("g_left", [(), (0.3, -0.2, 0.5, 0.4)])
+def test_wave_offset_is_the_cubic_zero(alpha, g_left):
+    # brentq on scipy's CubicSpline through the wave is the reference
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
+    p = ModelParams(c_x=0.5, alpha=alpha, g_left=g_left, g_right=(1.0,))
+    profiles = build_profiles(p, Grid1D.symmetric(30.0, 0.02),
+                              Grid1D.symmetric(48.0, 0.02))
+    wave = profiles.wave.profile
+    nodes = wave.grid.nodes()
+    ref = brentq(CubicSpline(nodes, wave.values), nodes[0] / 2, nodes[-1] / 2)
+    if g_left:
+        assert abs(ref) > 0.01
+        assert abs(profiles.wave_offset - ref) <= 1e-15
+    else:  # the phase condition puts the zero on the origin node
+        assert profiles.wave_offset == 0.0
+
+
 def test_ansatz_farfield_values(profiles_zero):
     # deep right: exactly the right equilibrium
     v = farfield_ansatz(30.0, 0.0, 0.1, profiles_zero, SPEC)

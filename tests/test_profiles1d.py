@@ -90,6 +90,26 @@ def test_profile_interpolation_and_range():
         short.values_at(-9.0)  # tanh(8/sqrt 2) is 2e-5 away from its limit
 
 
+@pytest.mark.parametrize("kind", ["top", "traveling_wave"])
+def test_values_at_is_scipy_cubic_spline_bit_for_bit(kind):
+    from scipy.interpolate import CubicSpline
+    p = ModelParams(c_x=0.5, alpha=0.1, g_left=(0.3, -0.2, 0.5, 0.4),
+                    g_right=(1.0,))
+    grid = Grid1D.symmetric(30.0, 0.02)
+    prof = (solve_quench_front(kind, p, grid) if kind == "top"
+            else solve_traveling_wave(p, grid).profile)
+    nodes = prof.grid.nodes()
+    lo, hi = prof.grid.x_min, prof.grid.x_max
+    x = np.concatenate((np.random.default_rng(3).uniform(lo, hi, 20000),
+                        nodes, [lo, hi]))
+    got = prof.values_at(x)
+    ref = CubicSpline(nodes, prof.values)(x)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+    # beyond the ends the converged tails extend by their limits
+    assert prof.values_at(lo - 0.5) == prof.limit_left
+    assert prof.values_at(hi + 0.5) == prof.limit_right
+
+
 def test_traveling_wave_balanced():
     sol = solve_traveling_wave(ModelParams(), Grid1D.symmetric(30.0, 0.01))
     assert abs(sol.speed) < 1e-10
