@@ -153,6 +153,9 @@ def validate_config(cfg: ExperimentConfig):
     for attr, kind in _FIELD_TYPES.items():
         if kind in (float, tuple) and not np.isfinite(getattr(cfg, attr)).all():
             raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be finite")
+    # a set merges equal floats, 0 and -0 included, as compare_prediction does
+    if len(set(cfg.sweep_alphas)) < len(cfg.sweep_alphas):
+        raise ConfigError("sweep.alphas repeats a value")
     if len(cfg.g_left) > 4 or len(cfg.g_right) > 4:
         raise ConfigError("perturbation polynomials must have degree <= 3")
     if cfg.mode in ("bordered", "sweep") and cfg.c_x == 0:
@@ -180,8 +183,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_manifest(cfg: ExperimentConfig, path: str, timings: dict):
-    """Config echo plus versions and timings; re-parses as a config."""
+def write_manifest(cfg: ExperimentConfig, path: str, timings: dict,
+                   histories: dict | None = None):
+    """Config echo plus versions, timings and Newton histories (each step's
+    residual:GMRES iterations); re-parses as a config."""
     import scipy
 
     with open(path, "w") as fh:
@@ -191,6 +196,9 @@ def write_manifest(cfg: ExperimentConfig, path: str, timings: dict):
                for f in dc_fields(ExperimentConfig)}
     entries.update((f"# timing.{name}_s", f"{seconds:.3f}")
                    for name, seconds in timings.items())
+    entries.update((f"# history.{name}",
+                    ",".join(f"{res:.3e}:{its}" for res, its in steps))
+                   for name, steps in (histories or {}).items())
     write_entries(path, entries, mode="a")
 
 
@@ -301,26 +309,45 @@ def _run_melnikov(cfg: ExperimentConfig, out: str, log) -> None:
         f"dphi_dalpha={report.dphi_dalpha:.6f}")
 
 
-def _run_sweep(cfg: ExperimentConfig, out: str, log) -> None:
+def _measure_point(cfg: ExperimentConfig, alpha: float, psi_seed: float):
+    """One sweep point in a worker process; returns no field, only numbers."""
+    t0 = time.perf_counter()
+    r = measure_steady_angle(cfg.model_params(alpha=alpha), cfg, psi_seed)
+    return (r["psi"], r["drift"], r["update_rate"], r["history"],
+            time.perf_counter() - t0)
+
+
+def _run_sweep(cfg: ExperimentConfig, out: str, log):
+    """The prediction here, then the alpha points in forked workers, one per
+    CPU this process may use; rows and log lines come in alpha order."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     table = os.path.join(out, "sweep.csv")
     with open(table, "w") as fh:
         fh.write("alpha,psi_measured,psi_predicted,drift\n")
     if not cfg.sweep_alphas:
         log("sweep: empty alpha list, wrote header only")
         return
+    t0 = time.perf_counter()
     report = _melnikov_report(cfg)
+    timings, histories = {"prediction": time.perf_counter() - t0}, {}
     log(f"sweep: prediction dphi_dalpha = {report.dphi_dalpha:.6f}")
-    for alpha in cfg.sweep_alphas:
-        p = cfg.model_params(alpha=alpha)
-        psi_pred = report.dphi_dalpha * alpha
-        result = measure_steady_angle(p, cfg, psi_seed=psi_pred)
-        with open(table, "a") as fh:
-            fh.write(f"{alpha:.17g},{result['psi']:.17g},{psi_pred:.17g},"
-                     f"{result['drift']:.17g}\n")
-        log(f"  alpha={alpha:+.3f}: psi={result['psi']:+.6f} "
-            f"(predicted {psi_pred:+.6f}) drift={result['drift']:+.2e} "
-            f"residual={result['update_rate']:.1e} "
-            f"newton_steps={len(result['history'])}")
+    alphas = cfg.sweep_alphas
+    seeds = [report.dphi_dalpha * alpha for alpha in alphas]
+    workers = min(len(alphas), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        points = pool.map(_measure_point, [cfg] * len(alphas), alphas, seeds)
+        for k, (alpha, psi_pred, (psi, drift, residual, history, seconds)) \
+                in enumerate(zip(alphas, seeds, points), 1):
+            with open(table, "a") as fh:
+                fh.write(f"{alpha:.17g},{psi:.17g},{psi_pred:.17g},"
+                         f"{drift:.17g}\n")
+            log(f"  alpha={alpha:+.3f}: psi={psi:+.6f} "
+                f"(predicted {psi_pred:+.6f}) drift={drift:+.2e} "
+                f"residual={residual:.1e} newton_steps={len(history)}")
+            timings[f"sweep_{k}"], histories[f"sweep_{k}"] = seconds, history
+    return timings, histories
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:
@@ -410,9 +437,10 @@ def run(cfg: ExperimentConfig, log=print) -> int:
     out = cfg.resolved_output_dir()
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
-    _MODE_RUNNERS[cfg.mode](cfg, out, log)
+    # a runner may return (timings, histories) for the manifest
+    timings, histories = _MODE_RUNNERS[cfg.mode](cfg, out, log) or ({}, {})
     write_manifest(cfg, os.path.join(out, "manifest.txt"),
-                   {"total": time.perf_counter() - t0})
+                   {"total": time.perf_counter() - t0, **timings}, histories)
     return 0
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
@@ -185,6 +186,11 @@ def test_main_subcommands(tmp_path, capsys):
 
 _TINY_GRID2D = ["grid2d.half_width_x=10", "grid2d.half_width_y=10", "grid2d.h=0.5"]
 
+#: a 97^2 sweep grid whose march is 144 steps
+_SMALL_SWEEP = ["--set", "grid2d.half_width_x=24", "--set", "grid2d.half_width_y=24",
+                "--set", "grid2d.h=0.5", "--set", "measure.window_lo=-18",
+                "--set", "measure.window_hi=-7"]
+
 
 @pytest.mark.parametrize("mode, settings", [
     ("bordered", ["bordered.half_width=0.1"]),
@@ -222,6 +228,9 @@ _TINY_GRID2D = ["grid2d.half_width_x=10", "grid2d.half_width_y=10", "grid2d.h=0.
     ("profile", ["grid1d.half_width=inf"]),
     ("bordered", ["bordered.half_width=inf"]),
     ("sweep", ["measure.window_lo=-inf"]),
+    # a repeated alpha would measure one point twice; 0 and -0 are one point
+    ("sweep", ["sweep.alphas=0.02,0.02", "model.g_right=1"] + _SMALL_SWEEP[1::2]),
+    ("sweep", ["sweep.alphas=0,0.02,-0", "model.g_right=1"] + _SMALL_SWEEP[1::2]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]
@@ -268,12 +277,6 @@ def test_sweep_unperturbed_is_flat(tmp_path):
     assert abs(summary["slope_measured"]) < 0.01
 
 
-#: a 97^2 sweep grid whose march is 144 steps
-_SMALL_SWEEP = ["--set", "grid2d.half_width_x=24", "--set", "grid2d.half_width_y=24",
-                "--set", "grid2d.h=0.5", "--set", "measure.window_lo=-18",
-                "--set", "measure.window_hi=-7"]
-
-
 def _small_sweep_config(**kw) -> ExperimentConfig:
     cfg = ExperimentConfig(mode="sweep", **kw)
     for item in _SMALL_SWEEP[1::2]:
@@ -288,10 +291,38 @@ def test_measurement_reports_convergence(tmp_path, monkeypatch, capsys):
     cfg = _small_sweep_config(g_right=(1.0,))
     with pytest.raises(NotConverged, match="after 1 Newton steps"):
         measure_steady_angle(cfg.model_params(alpha=0.02), cfg, psi_seed=0.034)
+    # two workers: one fails while the other still runs; the parent re-raises
+    # the worker's NotConverged and joins both before main returns
     assert main(["sweep", "--out", str(tmp_path), "--set", "model.g_right=1",
-                 "--set", "sweep.alphas=0.02"] + _SMALL_SWEEP) == 1
+                 "--set", "sweep.alphas=-0.02,0.02"] + _SMALL_SWEEP) == 1
     err = capsys.readouterr().err
     assert "quenchlab: error: steady residual" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_workers_match_in_process_points(tmp_path):
+    # the points measured in worker processes equal, bit for bit, the same
+    # measurements in this process; the manifest keeps each point's record
+    cfg = _small_sweep_config(g_right=(1.0,), sweep_alphas=(-0.02, 0.02),
+                              output_dir=str(tmp_path))
+    assert run(cfg, log=lambda *a: None) == 0
+    assert multiprocessing.active_children() == []
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        alpha, psi, psi_pred, drift = (float(v) for v in row.split(","))
+        here = measure_steady_angle(cfg.model_params(alpha=alpha), cfg,
+                                    psi_seed=psi_pred)
+        assert (psi, drift) == (here["psi"], here["drift"])
+    assert parse_config(str(tmp_path / "manifest.txt")) == cfg
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert "# timing.prediction_s" in {line.split(" = ")[0] for line in lines}
+    for k in (1, 2):
+        assert sum(line.startswith(f"# timing.sweep_{k}_s = ") for line in lines) == 1
+        history = [line for line in lines if line.startswith(f"# history.sweep_{k} = ")]
+        assert len(history) == 1
+        assert all(re.fullmatch(r"[0-9.e+-]+:[0-9]+", step)
+                   for step in history[0].split(" = ")[1].split(","))
 
 
 def test_measured_field_is_steady():
