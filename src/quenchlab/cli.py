@@ -27,9 +27,6 @@ from .quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
                        write_field)
 from .textio import write_entries
 
-MODES = ("profile", "theta", "simulate", "melnikov", "sweep", "spectrum",
-         "bordered", "compare")
-
 OUTPUT_ROOT_ENV = "QUENCHLAB_OUTPUT_ROOT"
 
 
@@ -72,10 +69,8 @@ class ExperimentConfig:
     # output
     output_dir: str = "."
 
-    def model_params(self, alpha: float | None = None,
-                     c_y: float | None = None) -> ModelParams:
-        return ModelParams(c_x=self.c_x,
-                           c_y=self.c_y if c_y is None else c_y,
+    def model_params(self, alpha: float | None = None) -> ModelParams:
+        return ModelParams(c_x=self.c_x, c_y=self.c_y,
                            alpha=self.alpha if alpha is None else alpha,
                            g_left=self.g_left, g_right=self.g_right)
 
@@ -429,6 +424,8 @@ _MODE_RUNNERS = {
     "bordered": _run_bordered,
     "compare": _run_compare,
 }
+
+MODES = tuple(_MODE_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, log=print) -> int:

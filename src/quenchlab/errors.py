@@ -29,6 +29,10 @@ class EigensolveFailure(QuenchLabError):
     """Eigenvalue computation did not succeed."""
 
 
+class AngleOutOfRange(QuenchLabError, ValueError):
+    """Interface angle at or beyond +-pi/2, where no frame speed exists."""
+
+
 class OutOfProfileRange(QuenchLabError):
     """Requested coordinate lies outside a 1D profile's converged range."""
 

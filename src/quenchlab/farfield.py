@@ -22,7 +22,7 @@ from .model import (ModelParams, reaction, reaction_jacobian, stable_zeros,
 from .profiles1d import (Grid1D, Profile1D, WaveSolution, frame_speed,
                          solve_quench_front, solve_traveling_wave)
 from .textio import write_entries
-from .quench2d import Field2D, solve_theta
+from .quench2d import Field2D, solve_theta, write_field
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,6 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec,
 
 def save_correction(cc: CoreCorrection, base_path: str):
     """Persist the core correction: grid binary plus key=value metadata."""
-    from .quench2d import write_field
     write_field(cc.w, base_path + ".qnch")
     write_entries(base_path + ".meta", {
         "psi": f"{cc.psi:.17g}",

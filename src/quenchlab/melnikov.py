@@ -7,7 +7,7 @@ Their ratio predicts the angle response d(phi)/d(alpha) = -m_alpha/m_psi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,9 @@ class MelnikovReport:
     c_x: float
     #: error estimates by name; m_psi_truncation is a domain-truncation
     #: estimate (see m_psi_detail), not an error bar in h
-    quadrature_error: dict = field(default_factory=dict)
-    geometric_term: float = 0.0
-    contact_line_term: float = 0.0
+    quadrature_error: dict
+    geometric_term: float
+    contact_line_term: float
 
 
 def dy_centered(data: np.ndarray, hy: float) -> np.ndarray:
@@ -109,52 +109,28 @@ def contact_line_integral(u_top: Profile1D, u_bottom: Profile1D,
     return full, abs(full - coarse) / 3.0
 
 
-def m_alpha(u_top: Profile1D, u_bottom: Profile1D, p: ModelParams,
-            m_psi_value: float, cn_prime_value: float) -> float:
-    """Perturbation sensitivity from the cokernel projection.
-
-    Two contributions: a geometric term from the frame-speed response,
-    cn'(0) * integral (dTheta/dy)^2 e^{c_x x} = -cn'(0) m_psi / c_x, and the
-    contact-line term -integral e^{c_x x} [G(x,u_t) - G(x,u_b)] dx.
-    """
-    if p.c_x <= 0:
-        raise ValueError("m_alpha requires c_x > 0")
-    geometric = -cn_prime_value * m_psi_value / p.c_x
-    contact, _ = contact_line_integral(u_top, u_bottom, p)
-    return geometric - contact
-
-
-def dphi_dalpha(m_psi_value: float, m_alpha_value: float, cn_prime_value: float,
-                c_x: float, quadrature_error: dict | None = None) -> MelnikovReport:
-    """Assemble the report with dphi/dalpha = -m_alpha/m_psi."""
-    if not m_psi_value < -MIN_M_PSI:
-        raise DegenerateMpsi(f"m_psi = {m_psi_value:.3e} is not negative enough")
-    geometric = -cn_prime_value * m_psi_value / c_x if c_x > 0 else 0.0
-    return MelnikovReport(
-        m_psi=m_psi_value,
-        m_alpha=m_alpha_value,
-        cn_prime=cn_prime_value,
-        dphi_dalpha=-m_alpha_value / m_psi_value,
-        c_x=c_x,
-        quadrature_error=dict(quadrature_error or {}),
-        geometric_term=geometric,
-        contact_line_term=m_alpha_value - geometric,
-    )
-
-
 def build_report(theta: Field2D, u_top: Profile1D, u_bottom: Profile1D,
                  p: ModelParams) -> MelnikovReport:
-    """Compute all selection integrals for one parameter set."""
+    """Compute all selection integrals for one parameter set.
+
+    m_alpha has two contributions: a geometric term from the frame-speed
+    response, cn'(0) * integral (dTheta/dy)^2 e^{c_x x} = -cn'(0) m_psi / c_x,
+    and the contact-line term -integral e^{c_x x} [G(x,u_t) - G(x,u_b)] dx.
+    Then dphi/dalpha = -m_alpha/m_psi.
+    """
     mp, mp_err = m_psi_detail(theta, p.c_x)
+    # m_psi = -c_x * (a nonnegative integral), so this also rejects c_x = 0
+    if not mp < -MIN_M_PSI:
+        raise DegenerateMpsi(f"m_psi = {mp:.3e} is not negative enough")
     cnp = cn_prime_quadrature(p.g_left)
-    _, contact_err = contact_line_integral(u_top, u_bottom, p)
-    # without transport m_psi vanishes, and dphi_dalpha rejects it as
-    # degenerate before the undefined m_alpha could matter
-    ma = m_alpha(u_top, u_bottom, p, mp, cnp) if p.c_x > 0 else np.nan
-    return dphi_dalpha(mp, ma, cnp, p.c_x,
-                       quadrature_error={"m_psi_truncation": mp_err,
-                                         "contact_line": contact_err,
-                                         "cn_prime": 1e-10})
+    contact, contact_err = contact_line_integral(u_top, u_bottom, p)
+    geometric = -cnp * mp / p.c_x
+    ma = geometric - contact
+    return MelnikovReport(
+        m_psi=mp, m_alpha=ma, cn_prime=cnp, dphi_dalpha=-ma / mp, c_x=p.c_x,
+        quadrature_error={"m_psi_truncation": mp_err,
+                          "contact_line": contact_err, "cn_prime": 1e-10},
+        geometric_term=geometric, contact_line_term=ma - geometric)
 
 
 def write_report(report: MelnikovReport, path: str):

@@ -13,8 +13,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (DomainTooSmall, LinearSolveFailure, NoConvergence,
-                     OutOfProfileRange)
+from .errors import (AngleOutOfRange, DomainTooSmall, LinearSolveFailure,
+                     NoConvergence, OutOfProfileRange)
 from .model import (ModelParams, origin_index, poly_eval, reaction,
                     reaction_jacobian, stable_zeros, transport_1d)
 from .textio import write_entries
@@ -303,7 +303,7 @@ def frame_speed(psi: float, cn: float, c_x: float) -> float:
     """Vertical frame speed c_y = c_n/cos(psi) - c_x tan(psi) of an interface
     at angle psi whose normal speed is c_n."""
     if not abs(psi) < np.pi / 2:
-        raise ValueError("need |psi| < pi/2")
+        raise AngleOutOfRange(f"interface angle {psi:.6g} needs |psi| < pi/2")
     return cn / np.cos(psi) - c_x * np.tan(psi)
 
 
@@ -313,7 +313,7 @@ def cy_from_angle(psi: float, p: ModelParams,
     return frame_speed(psi, solve_traveling_wave(p, grid).speed, p.c_x)
 
 
-def export_profile(profile: Profile1D, base_path: str, p: ModelParams | None = None):
+def export_profile(profile: Profile1D, base_path: str, p: ModelParams):
     """Write a two-column CSV (x, u) and a key=value sidecar next to it."""
     x = profile.grid.nodes()
     with open(base_path + ".csv", "w") as fh:
@@ -323,7 +323,6 @@ def export_profile(profile: Profile1D, base_path: str, p: ModelParams | None = N
     meta = {"kind": profile.kind,
             "residual_norm": f"{profile.residual_norm:.3e}",
             "limit_left": f"{profile.limit_left:.17g}",
-            "limit_right": f"{profile.limit_right:.17g}"}
-    if p is not None:
-        meta.update(alpha=f"{p.alpha:.17g}", c_x=f"{p.c_x:.17g}")
+            "limit_right": f"{profile.limit_right:.17g}",
+            "alpha": f"{p.alpha:.17g}", "c_x": f"{p.c_x:.17g}"}
     write_entries(base_path + ".meta", meta)

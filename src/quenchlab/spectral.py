@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import EigensolveFailure
+from .errors import DomainTooSmall, EigensolveFailure
 from .melnikov import dy_centered
 from .model import (ModelParams, interface_correction, origin_index,
                     reaction_derivative, transport_1d)
@@ -64,8 +64,8 @@ def max_real_eig_1d(op: LinearOperator1D) -> float:
     n = op.grid.n
     for tail in (op.q[:4], op.q[-4:]):
         if np.abs(tail - tail[0]).max() > 1e-5:
-            raise ValueError("potential still varies at the domain ends; "
-                             "enlarge the truncation domain")
+            raise DomainTooSmall("potential still varies at the domain ends; "
+                                 "enlarge the truncation domain")
     lower, main, upper = transport_1d(n, h, op.c_x)
     if lower[0] * upper[0] <= 0:
         raise EigensolveFailure(f"c_x h = {op.c_x * h:.3f} too large to symmetrize")

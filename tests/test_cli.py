@@ -231,6 +231,11 @@ _SMALL_SWEEP = ["--set", "grid2d.half_width_x=24", "--set", "grid2d.half_width_y
     # a repeated alpha would measure one point twice; 0 and -0 are one point
     ("sweep", ["sweep.alphas=0.02,0.02", "model.g_right=1"] + _SMALL_SWEEP[1::2]),
     ("sweep", ["sweep.alphas=0,0.02,-0", "model.g_right=1"] + _SMALL_SWEEP[1::2]),
+    # the seed dphi_dalpha * alpha = 1.61 lies beyond pi/2: no frame speed
+    ("sweep", ["sweep.alphas=0.95", "model.g_right=1"] + _SMALL_SWEEP[1::2]),
+    # the front passes its own endpoint check, but the linearization's
+    # potential has not flattened at the domain ends
+    ("spectrum", ["grid1d.half_width=11", "grid1d.h=0.1"]),
 ])
 def test_out_of_range_settings_fail_typed(tmp_path, capsys, mode, settings):
     argv = [mode, "--out", str(tmp_path)]

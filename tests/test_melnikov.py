@@ -3,8 +3,7 @@ import pytest
 
 from quenchlab.errors import DegenerateMpsi, NonFinite
 from quenchlab.melnikov import (build_report, contact_line_integral,
-                                dphi_dalpha, m_alpha, m_psi_detail,
-                                write_report)
+                                m_psi_detail, write_report)
 from quenchlab.model import ModelParams
 from quenchlab.quench2d import Field2D
 
@@ -40,54 +39,62 @@ def test_contact_integral_zero_without_perturbation(fronts_cx_half):
     assert value == 0.0 and err == 0.0
 
 
+#: the acceptance suite's two perturbation families: right-side constant
+#: forcing, and left-side even forcing
+_FAMILY_1 = ModelParams(c_x=0.5, g_right=(1.0,))
+_FAMILY_2 = ModelParams(c_x=0.5, g_left=(0.0, 0.0, 0.5))
+
+
 def test_m_alpha_signs(theta_half_small, fronts_cx_half):
     top, bottom = fronts_cx_half
-    mp = m_psi_detail(theta_half_small, 0.5)[0]
     # right-side constant forcing tilts the angle up
-    p1 = ModelParams(c_x=0.5, g_right=(1.0,))
-    assert m_alpha(top, bottom, p1, mp, 0.0) > 0.1
+    rep = build_report(theta_half_small, top, bottom, _FAMILY_1)
+    assert rep.m_alpha > 0.1 and rep.dphi_dalpha > 0
     # left-side even forcing: near-cancelling contributions, net negative
-    p2 = ModelParams(c_x=0.5, g_left=(0.0, 0.0, 0.5))
-    cn_prime = -1.0 / (2.0 * SQRT2)
-    assert m_alpha(top, bottom, p2, mp, cn_prime) < 0.0
+    rep = build_report(theta_half_small, top, bottom, _FAMILY_2)
+    assert rep.cn_prime == pytest.approx(-1.0 / (2.0 * SQRT2), abs=1e-10)
+    assert rep.m_alpha < 0.0 and rep.dphi_dalpha < 0.0
 
 
 def test_m_alpha_linear_in_g(theta_half_small, fronts_cx_half):
     top, bottom = fronts_cx_half
-    mp = m_psi_detail(theta_half_small, 0.5)[0]
-    one = m_alpha(top, bottom, ModelParams(c_x=0.5, g_right=(1.0,)), mp, 0.0)
-    two = m_alpha(top, bottom, ModelParams(c_x=0.5, g_right=(2.0,)), mp, 0.0)
+    one, two = (build_report(theta_half_small, top, bottom,
+                             ModelParams(c_x=0.5, g_right=(g,))).m_alpha
+                for g in (1.0, 2.0))
     assert two == pytest.approx(2.0 * one, rel=1e-14)
 
 
-def test_m_alpha_requires_transport():
-    f = Field2D.on_rectangle(5.0, 5.0, 0.5)
-    with pytest.raises(ValueError):
-        m_alpha(None, None, ModelParams(c_x=0.0), -1.0, 0.0)
+def test_m_alpha_requires_transport(theta_half_small, fronts_cx_half):
+    # without transport m_psi vanishes and the report is rejected
+    top, bottom = fronts_cx_half
+    with pytest.raises(DegenerateMpsi):
+        build_report(theta_half_small, top, bottom,
+                     ModelParams(c_x=0.0, g_right=(1.0,)))
 
 
-def test_dphi_dalpha_assembly():
-    rep = dphi_dalpha(-0.5, 0.0, 0.0, 0.5)
-    assert rep.dphi_dalpha == 0.0
-    rep = dphi_dalpha(-0.5, 0.9, 0.0, 0.5)
-    assert rep.dphi_dalpha == pytest.approx(1.8)
+def test_dphi_dalpha_assembly(theta_half_small, fronts_cx_half):
+    top, bottom = fronts_cx_half
+    p = _FAMILY_2.replace(g_right=(0.3, 1.0))
+    rep = build_report(theta_half_small, top, bottom, p)
+    assert rep.geometric_term != 0.0 and rep.contact_line_term != 0.0
     assert rep.m_alpha == rep.geometric_term + rep.contact_line_term
+    assert rep.dphi_dalpha == -rep.m_alpha / rep.m_psi
 
 
-def test_dphi_sign_identity(rng):
+def test_dphi_sign_identity(theta_half_small, fronts_cx_half):
     # with m_psi < 0 the angle response carries the sign of m_alpha
-    for _ in range(50):
-        mp = -rng.uniform(0.1, 2.0)
-        ma = rng.uniform(-2.0, 2.0)
-        rep = dphi_dalpha(mp, ma, 0.0, 0.5)
-        assert np.sign(rep.dphi_dalpha) == np.sign(ma)
+    top, bottom = fronts_cx_half
+    for p in (_FAMILY_1, _FAMILY_2):
+        rep = build_report(theta_half_small, top, bottom, p)
+        assert rep.m_psi < 0
+        assert np.sign(rep.dphi_dalpha) == np.sign(rep.m_alpha) != 0
 
 
-def test_dphi_degenerate_m_psi():
+def test_dphi_degenerate_m_psi(fronts_cx_half):
+    f = Field2D.on_rectangle(20.0, 20.0, 0.5)
+    f.data[:] = np.tanh(-f.x)[None, :]
     with pytest.raises(DegenerateMpsi):
-        dphi_dalpha(-1e-12, 1.0, 0.0, 0.5)
-    with pytest.raises(DegenerateMpsi):
-        dphi_dalpha(0.3, 1.0, 0.0, 0.5)
+        build_report(f, *fronts_cx_half, _FAMILY_1)
 
 
 def test_geometric_term_isolated(theta_half_small, fronts_cx_half):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quenchlab.errors import DomainTooSmall
 from quenchlab.model import ModelParams, reaction_derivative
 from quenchlab.profiles1d import Grid1D, solve_quench_front
 from quenchlab.quench2d import Field2D, solve_theta
@@ -77,7 +78,7 @@ def test_eig_quenched_front_strictly_negative():
 def test_eig_endpoint_guard():
     grid = Grid1D(-10.0, 10.0, 501)
     q = grid.nodes()  # keeps growing at the ends
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainTooSmall):
         max_real_eig_1d(LinearOperator1D(grid=grid, c_x=0.0, q=q))
 
 
