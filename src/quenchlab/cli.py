@@ -117,9 +117,10 @@ def apply_setting(cfg: ExperimentConfig, key: str, raw: str):
     setattr(cfg, attr, value)
 
 
-def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse a key-value config file (comments and blank lines ignored)."""
-    cfg = base or ExperimentConfig()
+def parse_config(path: str) -> ExperimentConfig:
+    """Parse a key-value config file (comments and blank lines ignored);
+    run validates the result, after any command-line overrides."""
+    cfg = ExperimentConfig()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -129,7 +130,6 @@ def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentC
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
             apply_setting(cfg, key, raw)
-    validate_config(cfg)
     return cfg
 
 
@@ -234,9 +234,9 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
     state = solve_comoving_steady(marched.field, p, cfg.measure_steady_tol)
     m = fit_contact_angle(zero_level_set(state.field),
                           (cfg.measure_window_lo, cfg.measure_window_hi))
-    return {"psi": m.psi, "phi": m.phi, "c_y": state.c_y, "drift": state.drift,
-            "measurement": m, "field": state.field,
-            "update_rate": state.residual, "history": state.history}
+    return {"psi": m.psi, "c_y": state.c_y, "drift": state.drift,
+            "field": state.field, "update_rate": state.residual,
+            "history": state.history}
 
 
 def _melnikov_report(cfg: ExperimentConfig) -> melnikov.MelnikovReport:

@@ -238,12 +238,15 @@ def ansatz_sheared(X, Y, psi: float, profiles: FarfieldProfiles,
 # ---------------------------------------------------------------------------
 
 class ShearedOperator:
-    """The sheared comoving equation on one grid, its linear part assembled once.
+    """The sheared comoving equation on one grid, held as 1D factors.
 
-    The linear part maps the values on all nodes to the interior rows (both
-    row-major, y outer).  At t = tan(psi) it is L0 + c_y L_y + t P1 + t^2 P2,
-    from psi-independent pieces: L0 = Lap + c_x d_x, L_y = d_y,
-    P1 = 2 S' d_xy + (c_x S' + S'') d_y and P2 = S'^2 d_yy, where S = x chi^-.
+    The linear part maps the values on all nodes to the interior nodes (both
+    row-major, y outer).  It is the sum of F_y (x) F_x over three factor
+    pairs, each factor mapping the nodes of its axis to that axis's interior
+    nodes: (E_y, A_x), (D_yy, X_2) and (D_y, X_1) with A_x = d_xx + c_x d_x,
+    X_2 = (1 + t^2 S'^2) E_x and X_1 = c_y E_x + t (2 S' d_x + (c_x S' + S'') E_x)
+    at t = tan(psi), where S = x chi^- and E takes the interior nodes.  S
+    depends on x alone, so only the x factors carry psi.
     """
 
     def __init__(self, template: Field2D, p: ModelParams):
@@ -251,45 +254,40 @@ class ShearedOperator:
         self.p, self.xi, self.hx = p, template.x[1:-1], hx
         self.shape = (ny - 2, nx - 2)
 
-        def interior_rows(diagonals):
-            return sp.diags(diagonals, [-1, 0, 1]).tocsr()[1:-1]
+        def interior_rows(n, diagonals):
+            """Rows 1 to n - 2 of the tridiagonal (sub, main, sup) on n nodes."""
+            return sp.diags(diagonals, [-1, 0, 1], shape=(n, n), format="csr")[1:-1]
 
-        Ax = interior_rows(transport_1d(nx, hx, p.c_x))
-        Dyy = interior_rows(transport_1d(ny, hy, 0.0))
-        Dx = sp.diags([-1.0, 1.0], [0, 2], shape=(nx - 2, nx)) / (2.0 * hx)
-        Dy = sp.diags([-1.0, 1.0], [0, 2], shape=(ny - 2, ny)) / (2.0 * hy)
-        Ex, Ey = sp.eye(nx - 2, nx, 1), sp.eye(ny - 2, ny, 1)
-        Sx = sp.diags(np.tile(shear_profile_d1(self.xi), ny - 2))
-        Sxx = sp.diags(np.tile(shear_profile_d2(self.xi), ny - 2))
-        L_y = sp.kron(Dy, Ex)
-        self.pieces = tuple(m.tocsr() for m in (
-            sp.kron(Ey, Ax) + sp.kron(Dyy, Ex), L_y,
-            2.0 * Sx @ sp.kron(Dy, Dx) + (p.c_x * Sx + Sxx) @ L_y,
-            Sx @ Sx @ sp.kron(Dyy, Ex)))
-        self.interior = np.arange(nx * ny).reshape(ny, nx)[1:-1, 1:-1].ravel()
+        self.Ax = interior_rows(nx, transport_1d(nx, hx, p.c_x))
+        self.Dyy = interior_rows(ny, transport_1d(ny, hy, 0.0))
+        self.Dx = interior_rows(nx, (-0.5 / hx, 0.0, 0.5 / hx))
+        self.Dy = interior_rows(ny, (-0.5 / hy, 0.0, 0.5 / hy))
+        self.Ex, self.Ey = (interior_rows(n, (0.0, 1.0, 0.0)) for n in (nx, ny))
+        self.s1, self.s2 = shear_profile_d1(self.xi), shear_profile_d2(self.xi)
 
-    @staticmethod
-    def _weights(psi, c_y):
-        t = np.tan(psi)
-        return 1.0, c_y, t, t * t
+    def _factor_pairs(self, psi, c_y):
+        t, s1 = np.tan(psi), self.s1
+        X2 = sp.diags(1.0 + t * t * s1 * s1) @ self.Ex
+        X1 = c_y * self.Ex + t * (sp.diags(2.0 * s1) @ self.Dx
+                                  + sp.diags(self.p.c_x * s1 + self.s2) @ self.Ex)
+        return (self.Ey, self.Ax), (self.Dyy, X2), (self.Dy, X1)
 
     def residual(self, v: np.ndarray, psi: float, c_y: float) -> np.ndarray:
         """The equation's residual on the interior nodes at the field v."""
-        vf = v.ravel()
-        lin = sum(k * (m @ vf) for k, m in zip(self._weights(psi, c_y), self.pieces))
-        return lin.reshape(self.shape) + reaction(self.xi, v[1:-1, 1:-1], self.p,
-                                                  self.hx)
+        lin = sum(fx @ (fy @ v).T for fy, fx in self._factor_pairs(psi, c_y))
+        return lin.T + reaction(self.xi, v[1:-1, 1:-1], self.p, self.hx)
 
     def jacobian(self, v: np.ndarray, psi: float, c_y: float) -> sp.csc_matrix:
-        """Derivative of residual in the interior values of v: the linear part
-        on the interior columns plus the kinetics' tridiagonal along x."""
-        lin = sum(k * m for k, m in zip(self._weights(psi, c_y), self.pieces))
+        """Derivative of residual in the interior values of v: the factor
+        pairs on the interior columns plus the kinetics' tridiagonal along x."""
+        lin = sum(sp.kron(fy[:, 1:-1], fx[:, 1:-1])
+                  for fy, fx in self._factor_pairs(psi, c_y))
         sub, main, sup = reaction_jacobian(self.xi, v[1:-1, 1:-1], self.p, self.hx)
         # raveled, the x-neighbours across the end of an interior row are 0
         gap = np.zeros((self.shape[0], 1))
         kinetics = sp.diags([np.hstack([sub, gap]).ravel()[:-1], main.ravel(),
                              np.hstack([sup, gap]).ravel()[:-1]], [-1, 0, 1])
-        return (lin[:, self.interior] + kinetics).tocsc()
+        return (lin + kinetics).tocsc()
 
 
 def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
@@ -336,9 +334,8 @@ _GN_RESIDUAL_TARGET = 1e-6
 _GN_FD_PSI = 1e-6
 
 
-def solve_bordered(p: ModelParams, spec: PartitionSpec,
-                   half_width: float = 30.0, h: float = 0.25,
-                   theta: Field2D | None = None) -> CoreCorrection:
+def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
+                   h: float, theta: Field2D | None = None) -> CoreCorrection:
     """Solve the sheared equation for (w, psi) by a bordered Newton iteration.
 
     On the Dirichlet box the Jacobian A in w is invertible, so F = 0 has a

@@ -74,7 +74,6 @@ class EquilibriumBranches:
     z_minus: float
     z_zero: float
     z_plus: float
-    alpha: float
 
 
 def potential_G(x, u, p: ModelParams):
@@ -231,5 +230,4 @@ def stable_zeros(p: ModelParams) -> EquilibriumBranches:
         raise NoConvergence(
             f"branch separation below {FOLD_SEPARATION}: alpha={p.alpha} is outside "
             "the perturbative regime")
-    return EquilibriumBranches(z_minus=z_minus, z_zero=z_zero, z_plus=z_plus,
-                               alpha=p.alpha)
+    return EquilibriumBranches(z_minus=z_minus, z_zero=z_zero, z_plus=z_plus)

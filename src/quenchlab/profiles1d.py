@@ -66,9 +66,6 @@ class Grid1D:
         return cls(-m * h, m * h, 2 * m + 1)
 
 
-DEFAULT_GRID = Grid1D.symmetric(30.0, 0.025)
-
-
 @dataclass
 class Profile1D:
     """A 1D front profile with asymptotic limits and solve metadata."""
@@ -125,7 +122,6 @@ class WaveSolution:
 
     profile: Profile1D
     speed: float
-    alpha: float
 
 
 def _newton_system(transport, coord, u, p: ModelParams, h):
@@ -174,8 +170,7 @@ def _not_a_knot_pieces(x, y) -> np.ndarray:
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-def solve_quench_front(side: str, p: ModelParams,
-                       grid: Grid1D = DEFAULT_GRID) -> Profile1D:
+def solve_quench_front(side: str, p: ModelParams, grid: Grid1D) -> Profile1D:
     """Front across the quenching jump: u'' + c_x u' + mu(x) u - u^3 + a g = 0.
 
     side="top" connects z_+(alpha) at -inf to z_0(alpha) at +inf and is
@@ -230,8 +225,7 @@ def solve_quench_front(side: str, p: ModelParams,
                      limit_right=right_val, residual_norm=rn, kind=side)
 
 
-def solve_traveling_wave(p: ModelParams,
-                         grid: Grid1D = DEFAULT_GRID) -> WaveSolution:
+def solve_traveling_wave(p: ModelParams, grid: Grid1D) -> WaveSolution:
     """Planar bistable front z'' + c z' + z - z^3 + alpha g_l(z) = 0.
 
     The wave speed is an unknown, determined together with the profile by a
@@ -275,7 +269,7 @@ def solve_traveling_wave(p: ModelParams,
 
     profile = Profile1D(grid=grid, values=z, limit_left=z_minus,
                         limit_right=z_plus, residual_norm=rn, kind="traveling_wave")
-    return WaveSolution(profile=profile, speed=c, alpha=p.alpha)
+    return WaveSolution(profile=profile, speed=c)
 
 
 def cn_prime_quadrature(g_left) -> float:
@@ -307,8 +301,7 @@ def frame_speed(psi: float, cn: float, c_x: float) -> float:
     return cn / np.cos(psi) - c_x * np.tan(psi)
 
 
-def cy_from_angle(psi: float, p: ModelParams,
-                  grid: Grid1D = DEFAULT_GRID) -> float:
+def cy_from_angle(psi: float, p: ModelParams, grid: Grid1D) -> float:
     """frame_speed at the normal speed c_n(alpha) of the wave solved on grid."""
     return frame_speed(psi, solve_traveling_wave(p, grid).speed, p.c_x)
 

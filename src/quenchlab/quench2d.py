@@ -186,7 +186,7 @@ class SemiImplicitStepper:
 RECORD_EVERY = 5
 
 
-def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float = 1e-8,
+def run_to_steady(stepper: SemiImplicitStepper, u0: Field2D, tol: float,
                   max_steps: int = 20000, recorder=None) -> SteadyResult:
     """Step from u0 until the update rate max|u_{n+1}-u_n|/dt drops below tol.
 
@@ -315,9 +315,8 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
                                float(drift), history)
 
 
-def solve_theta(c_x: float, half_width_x: float = 60.0, half_width_y: float = 60.0,
-                h: float = 0.25, dt: float = 0.25, tol: float = 1e-9,
-                max_steps: int = 20000) -> Field2D:
+def solve_theta(c_x: float, half_width_x: float, half_width_y: float, h: float,
+                dt: float, tol: float, max_steps: int = 20000) -> Field2D:
     """Symmetric perpendicular-contact steady state at alpha = 0, c_y = 0.
 
     Marches step data (1 for x < 0, 0 beyond) on the rows y > 0 alone, with
@@ -325,8 +324,6 @@ def solve_theta(c_x: float, half_width_x: float = 60.0, half_width_y: float = 60
     satisfies u(x, y) = -u(x, -y) exactly, its y = 0 row is +0.0 and its
     zero level set is the x-axis.
     """
-    if c_x < 0:
-        raise ValueError("c_x must be >= 0")
     p = ModelParams(c_x=c_x)
     full = Field2D.on_rectangle(half_width_x, half_width_y, h)
     m = full.ny // 2

@@ -184,6 +184,27 @@ def test_main_subcommands(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_flags_override_config_file_before_validation(tmp_path, capsys):
+    # the file alone is invalid; the subcommand and --set make it valid, and
+    # only the final configuration is validated
+    small = ["--set", "grid1d.half_width=12", "--set", "grid1d.h=0.1"]
+    window = tmp_path / "window.cfg"
+    window.write_text("measure.window_hi = -3\n")
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("mode = sweep\nmodel.c_x = 0\n")
+    for cfg_file, extra, out in ((window, ["--set", "measure.window_hi=-10"], "a"),
+                                 (sweep, [], "b")):
+        assert main(["profile", "--config", str(cfg_file), "--out",
+                     str(tmp_path / out)] + small + extra) == 0
+        assert (tmp_path / out / "manifest.txt").exists()
+    # still invalid after the flags: a typed error and no manifest
+    assert main(["profile", "--config", str(window), "--out", str(tmp_path / "c"),
+                 "--set", "measure.window_hi=-3"] + small) == 1
+    err = capsys.readouterr().err
+    assert "quenchlab: error: measure.window_lo" in err and "Traceback" not in err
+    assert not (tmp_path / "c" / "manifest.txt").exists()
+
+
 _TINY_GRID2D = ["grid2d.half_width_x=10", "grid2d.half_width_y=10", "grid2d.h=0.5"]
 
 #: a 97^2 sweep grid whose march is 144 steps

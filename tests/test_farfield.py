@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,6 +275,19 @@ def test_jacobian_matches_finite_differences(rng):
         fd[:, k] = (op.residual(vp, psi, c_y)
                     - op.residual(vm, psi, c_y)).ravel() / (2 * eps)
     np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6)
+
+
+def test_sheared_operator_holds_only_1d_factors():
+    # the bench grid (L = 30, h = 0.25, 241^2 nodes): full-size pieces of the
+    # operator would take megabytes, its 1D factors take kilobytes
+    f = Field2D.on_rectangle(30.0, 30.0, 0.25)
+    tracemalloc.start()
+    try:
+        ShearedOperator(f, ModelParams(c_x=0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.fixture(scope="module")

@@ -53,3 +53,45 @@ def test_bench_hooks_find_their_targets():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "['quenchlab.cli.measure_drift']"
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_default_is_omitted_by_some_call():
+    """Each default parameter of a public module-level function of
+    src/quenchlab is left out by at least one call in src, bench or tests;
+    a default that every call overrides is a second copy of the callers'
+    value.
+
+    Name-based like the ratchet above: a call counts for every function of
+    its callee's name, and a call that unpacks *args or **kwargs omits
+    nothing.
+    """
+    library = sorted((ROOT / "src" / "quenchlab").glob("*.py"))
+    files = [path for d in ("src", "bench", "tests")
+             for path in sorted((ROOT / d).rglob("*.py"))]
+    calls = [node for path in files for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    unused = []
+    for path in library:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            mine = [c for c in calls if _callee(c) == node.name
+                    and not any(isinstance(a, ast.Starred) for a in c.args)
+                    and all(k.arg is not None for k in c.keywords)]
+            for index, name in defaulted:
+                if not any((index is None or len(c.args) <= index)
+                           and name not in {k.arg for k in c.keywords}
+                           for c in mine):
+                    unused.append(f"{path.stem}.{node.name}({name})")
+    assert unused == []
