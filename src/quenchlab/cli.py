@@ -288,10 +288,9 @@ def _run_simulate(cfg: ExperimentConfig, out: str, log) -> None:
                         tol=cfg.solver_tol, max_steps=cfg.solver_max_steps,
                         recorder=rec)
     write_field(res.field, os.path.join(out, "final.qnch"))
-    track = rec.track()
     with open(os.path.join(out, "contact_track.csv"), "w") as fh:
         fh.write("t,y_contact\n")
-        for t, y in zip(track.times, track.y_contact):
+        for t, y in zip(*rec.track()):
             fh.write(f"{t:.17g},{y:.17g}\n")
     log(f"simulate: steps={res.steps} converged={res.converged} "
         f"rate={res.final_update_rate:.2e}")

@@ -32,14 +32,6 @@ class AngleMeasurement:
     n_points: int
 
 
-@dataclass
-class ContactTrack:
-    """Height of the nodal line at the quenching column x = 0 over time."""
-
-    times: np.ndarray
-    y_contact: np.ndarray
-
-
 def _column_crossings(yv: np.ndarray, col: np.ndarray) -> list:
     s = np.sign(col)
     idx = np.nonzero((s[:-1] * s[1:] < 0) | ((s[:-1] != 0) & (s[1:] == 0)))[0]
@@ -123,7 +115,7 @@ class ContactRecorder:
         self.times.append(time)
         self.heights.append(y0)
 
-    def track(self) -> ContactTrack:
-        return ContactTrack(times=np.array(self.times),
-                            y_contact=np.array(self.heights))
+    def track(self):
+        """(times, heights) of the nodal line at x = 0, as arrays."""
+        return np.array(self.times), np.array(self.heights)
 

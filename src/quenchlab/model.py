@@ -22,13 +22,18 @@ _ZERO_TOL = 1e-12
 #: a grid coordinate this close to 0 is the node on the quenching line
 _NODE_TOL = 1e-9
 
+#: complex-step size: f'(u) = Im f(u + i s) / s to round-off, and a power of
+#: two, so the division is exact
+_STEP = 2.0 ** -200
+
 
 def poly_eval(coef, u):
-    """Evaluate a polynomial with ascending coefficients at u (Horner)."""
-    out = np.zeros_like(np.asarray(u, dtype=float))
+    """Evaluate a polynomial with ascending coefficients at u (Horner),
+    in u's precision: complex u gives complex values."""
+    out = np.zeros(np.shape(u), np.result_type(u, float))
     for c in reversed(coef):
         out = out * u + c
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()
 
 
 def poly_derivative(coef):
@@ -132,17 +137,13 @@ def interface_correction(u0, ux, p: ModelParams, h, c_x):
     return h * (jump_uxxx / 6.0 + c_x * jump_uxx / 4.0)
 
 
-def interface_correction_jac(u0, ux, p: ModelParams, h, c_x):
-    """d(correction)/d(u0), and the prefactor of d/d(ux)."""
-    a = p.alpha
-    dgp = (poly_eval(poly_derivative(p.g_right), u0)
-           - poly_eval(poly_derivative(p.g_left), u0))
-    dgpp = (poly_eval(poly_derivative(poly_derivative(p.g_right)), u0)
-            - poly_eval(poly_derivative(poly_derivative(p.g_left)), u0))
-    d_jump_uxx = 2.0 - a * dgp
-    d_du0 = h * ((-c_x * d_jump_uxx - a * dgpp * ux) / 6.0 + c_x * d_jump_uxx / 4.0)
-    d_dux = h * (2.0 - a * dgp) / 6.0
-    return d_du0, d_dux
+def _kinetics(x, u, p: ModelParams):
+    """Pointwise kinetics mu(x) u - u^3 + alpha g(x, u), side-averaged at x = 0."""
+    r = side_average(x, 1.0, -1.0) * u - u * u * u
+    if p.alpha != 0.0 and (p.g_left or p.g_right):
+        r += p.alpha * side_average(x, poly_eval(p.g_left, u),
+                                    poly_eval(p.g_right, u))
+    return r
 
 
 def reaction(x, u, p: ModelParams, h):
@@ -152,10 +153,7 @@ def reaction(x, u, p: ModelParams, h):
     and g are side-averaged and the jump correction of centered stencils
     (interface_correction, with the centered u_x) is subtracted.
     """
-    r = side_average(x, 1.0, -1.0) * u - u * u * u
-    if p.alpha != 0.0 and (p.g_left or p.g_right):
-        r += p.alpha * side_average(x, poly_eval(p.g_left, u),
-                                    poly_eval(p.g_right, u))
+    r = _kinetics(x, u, p)
     i0 = origin_index(x)
     if i0 is not None and 0 < i0 < len(x) - 1:
         ux = (u[..., i0 + 1] - u[..., i0 - 1]) / (2.0 * h)
@@ -166,31 +164,28 @@ def reaction(x, u, p: ModelParams, h):
 def reaction_derivative(x, u, p: ModelParams):
     """Pointwise d/du of the kinetics, q = mu - 3 u^2 + alpha g'(u), sampled
     like reaction; the jump correction's part is in reaction_jacobian."""
-    q = side_average(x, 1.0, -1.0) - 3.0 * u**2
-    if p.alpha != 0.0 and (p.g_left or p.g_right):
-        q = q + p.alpha * side_average(x, poly_eval(poly_derivative(p.g_left), u),
-                                       poly_eval(poly_derivative(p.g_right), u))
-    return q
+    return _kinetics(x, u + 1j * _STEP, p).imag / _STEP
 
 
 def reaction_jacobian(x, u, p: ModelParams, h):
     """Exact derivative of reaction as diagonals (sub, main, sup) along x.
 
     d reaction[..., i] / d u[..., i] is main[..., i], d / d u[..., i - 1] is
-    sub[..., i - 1] and d / d u[..., i + 1] is sup[..., i].  Off the x = 0
-    node main is q and sub, sup vanish; there the jump correction adds its
-    derivative in u0 and, through the centered u_x, in the two neighbours.
+    sub[..., i - 1] and d / d u[..., i + 1] is sup[..., i], each by complex
+    step.  A step of every node leaves the centered u_x unchanged, so it
+    gives main, the x = 0 node's jump correction included.  The neighbours
+    enter that correction through u_x alone, so sub = -sup there (the
+    steady solve's matvec relies on it); sup is one step of the right
+    neighbour, and both vanish off x = 0.
     """
-    main = reaction_derivative(x, u, p)
+    main = reaction(x, u + 1j * _STEP, p, h).imag / _STEP
     sub = np.zeros(main.shape[:-1] + (main.shape[-1] - 1,))
     sup = np.zeros_like(sub)
     i0 = origin_index(x)
     if i0 is not None and 0 < i0 < len(x) - 1:
-        ux = (u[..., i0 + 1] - u[..., i0 - 1]) / (2.0 * h)
-        d_du0, d_dux = interface_correction_jac(u[..., i0], ux, p, h, p.c_x)
-        main[..., i0] -= d_du0
-        sub[..., i0 - 1] = d_dux / (2.0 * h)
-        sup[..., i0] = -d_dux / (2.0 * h)
+        near = u[..., i0 - 1:i0 + 2] + np.array([0.0, 0.0, 1j * _STEP])
+        sup[..., i0] = reaction(x[i0 - 1:i0 + 2], near, p, h)[..., 1].imag / _STEP
+        sub[..., i0 - 1] = -sup[..., i0]
     return sub, main, sup
 
 

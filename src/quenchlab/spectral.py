@@ -85,7 +85,6 @@ class KernelCheck:
 
     forward_residual: float
     adjoint_residual: float
-    h: float
 
 
 def _apply_linearized(v, q_bar, c_x, hx, hy, sign, i0):
@@ -135,5 +134,4 @@ def kernel_check_2d(theta: Field2D, c_x: float) -> KernelCheck:
     return KernelCheck(
         forward_residual=float(np.linalg.norm(inner_fwd) / norm_v),
         adjoint_residual=float(np.linalg.norm(inner_adj) / norm_wv),
-        h=hx,
     )

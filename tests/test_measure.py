@@ -82,9 +82,9 @@ def test_contact_recorder():
     rec = ContactRecorder(f)
     for k in range(12):
         rec(k, 2.0 * k, f.data + 0.1 * k)  # creeping offset
-    track = rec.track()
-    np.testing.assert_array_equal(track.times, 2.0 * np.arange(12))
-    np.testing.assert_allclose(track.y_contact, -0.1 * np.arange(12), atol=1e-14)
+    times, heights = rec.track()
+    np.testing.assert_array_equal(times, 2.0 * np.arange(12))
+    np.testing.assert_allclose(heights, -0.1 * np.arange(12), atol=1e-14)
 
 
 def test_drift_in_static_frame_matches_geometric_speed():

@@ -5,7 +5,7 @@ import pytest
 
 from quenchlab.errors import NoConvergence
 from quenchlab.model import (ModelParams, origin_index, poly_antiderivative,
-                             poly_derivative, potential_G, reaction,
+                             poly_derivative, poly_eval, potential_G, reaction,
                              reaction_derivative, reaction_jacobian,
                              side_average, stable_zeros)
 
@@ -64,6 +64,36 @@ def test_reaction_derivative_matches_differences(rng):
         # Newton-Krylov matvec of solve_comoving_steady relies on
         np.testing.assert_array_equal(sub[..., :-1], -sup[..., 1:])
         assert not sub[..., -1].any() and not sup[..., 0].any()
+
+
+def test_reaction_jacobian_exact_at_alpha_zero(rng):
+    # at alpha = 0 the jump correction is h (2 u_x - 2 c_x u0)/6 + h c_x u0/2:
+    # its u_x part is 1/6 of u[i0 + 1] - u[i0 - 1] whatever h, and its u0
+    # part is h c_x/6.  h = 0.2 is not a power of two, so a complex step
+    # that is not one either rounds in the division and misses these
+    c_x, h = 0.7, 0.2
+    x = h * np.arange(-6, 7)
+    i0 = origin_index(x)
+    u = rng.uniform(-1.5, 1.5, (200, x.size))
+    sub, main, sup = reaction_jacobian(x, u, ModelParams(c_x=c_x), h)
+    assert (sup[:, i0] == -1.0 / 6.0).all() and (sub[:, i0 - 1] == 1.0 / 6.0).all()
+    assert not np.delete(sup, i0, axis=-1).any()
+    assert not np.delete(sub, i0 - 1, axis=-1).any()
+    mu = np.where(x < 0, 1.0, -1.0)
+    expected = mu - 3.0 * u**2
+    expected[:, i0] = -3.0 * u[:, i0] ** 2 - h * c_x / 6.0
+    np.testing.assert_allclose(main, expected, rtol=0, atol=1e-15)
+
+
+def test_poly_eval_keeps_complex_input():
+    coef = (0.5, -1.0, 0.25, 2.0)
+    z = np.array([0.3 + 0.2j, -1.1 + 0.0j])
+    np.testing.assert_allclose(poly_eval(coef, z), np.polyval(coef[::-1], z),
+                               rtol=1e-15)
+    # a 0-d input gives a scalar of its own kind
+    assert poly_eval(coef, 1j) == complex(np.polyval(coef[::-1], 1j))
+    assert isinstance(poly_eval(coef, 0.5), float)
+    assert poly_eval((), 1j) == 0.0
 
 
 def test_potential_examples():

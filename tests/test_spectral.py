@@ -84,7 +84,6 @@ def test_eig_endpoint_guard():
 
 def test_kernel_check_residuals_small(theta_half_small):
     chk = kernel_check_2d(theta_half_small, 0.5)
-    assert chk.h == 0.25
     assert chk.forward_residual < 0.05
     assert chk.adjoint_residual < 0.05
 
