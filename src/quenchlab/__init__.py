@@ -4,7 +4,7 @@ moving bistability boundary, computed on truncated grids.
 Subpackages by task: `model` (kinetics and equilibrium branches),
 `profiles1d` (fronts and the traveling wave), `quench2d` (comoving 2D
 solver), `farfield` (glued ansatz and bordered angle solve), `measure`
-(nodal-line extraction), `melnikov` (selection integrals), `spectral`
+(contact-point tracking), `melnikov` (selection integrals), `spectral`
 (linearization checks), `textio` (`key = value` files), `cli` (experiment
 runner).
 """

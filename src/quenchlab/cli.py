@@ -18,10 +18,10 @@ import numpy as np
 
 from . import farfield, melnikov, spectral
 from .errors import ConfigError, MissingBaseline, QuenchLabError
-from .measure import ContactRecorder, fit_contact_angle, zero_level_set
+from .measure import ContactRecorder
 from .model import ModelParams, side_average, stable_zeros
-from .profiles1d import (Grid1D, cy_from_angle, export_profile,
-                         solve_quench_front, solve_traveling_wave)
+from .profiles1d import (Grid1D, angle_from_speed, export_profile,
+                         frame_speed, solve_quench_front, solve_traveling_wave)
 from .quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
                        run_to_steady, solve_comoving_steady, solve_theta,
                        write_field)
@@ -58,7 +58,8 @@ class ExperimentConfig:
     bordered_half_width: float = 30.0
     bordered_h: float = 0.25
     bordered_R: float = 12.0
-    # angle measurement
+    # angle measurement: window_lo sets the march length |window_lo| / c_x;
+    # no solver reads window_hi; it is only validated (lo < hi <= -5)
     measure_window_lo: float = -35.0
     measure_window_hi: float = -10.0
     # bounds max|Phi(u) - u| / dt of the dt = 2 map in the steady solve,
@@ -219,22 +220,23 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
                          psi_seed: float = 0.0) -> dict:
     """Measure the selected interface angle at the comoving steady state.
 
-    Marches step data in the frame whose c_y the geometric speed relation
-    assigns to the seed angle, until the wake has crossed the fit window
-    (t = |measure.window_lo| / c_x); then solves for the steady state and
-    its c_y together (quench2d.solve_comoving_steady) and fits the angle on
-    that field's nodal line in the left farfield.  Raises NotConverged when
-    the steady residual does not reach measure.steady_tol.
+    Marches step data for t = |measure.window_lo| / c_x in the frame whose
+    c_y the speed relation (profiles1d.frame_speed) assigns to the seed
+    angle at the planar wave's normal speed c_n, solves for the steady
+    state and its c_y together (quench2d.solve_comoving_steady), and
+    returns as psi the angle that relation assigns to the solved c_y: a
+    straight interface far left is steady in that frame only there.
+    Raises NotConverged when the steady residual misses measure.steady_tol.
     """
     u0 = _step_initial_data(p, cfg)
-    p = p.replace(c_y=cy_from_angle(psi_seed, p, cfg.grid1d()))
+    c_n = solve_traveling_wave(p, cfg.grid1d()).speed
+    p = p.replace(c_y=frame_speed(psi_seed, c_n, p.c_x))
     steps = int(np.ceil(abs(cfg.measure_window_lo) / p.c_x / cfg.solver_dt))
     marched = run_to_steady(SemiImplicitStepper(u0, p, cfg.solver_dt), u0,
                             tol=0.0, max_steps=steps)
     state = solve_comoving_steady(marched.field, p, cfg.measure_steady_tol)
-    m = fit_contact_angle(zero_level_set(state.field),
-                          (cfg.measure_window_lo, cfg.measure_window_hi))
-    return {"psi": m.psi, "c_y": state.c_y, "drift": state.drift,
+    return {"psi": angle_from_speed(state.c_y, c_n, p.c_x),
+            "c_y": state.c_y, "drift": state.drift,
             "field": state.field, "update_rate": state.residual,
             "history": state.history}
 

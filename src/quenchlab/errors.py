@@ -10,7 +10,8 @@ class NoConvergence(QuenchLabError):
 
 
 class NotConverged(NoConvergence):
-    """Time marching stopped before reaching the steady tolerance."""
+    """A march to steady state or a Newton solve (the comoving steady solve,
+    the bordered solve) stopped before reaching its tolerance."""
 
 
 class DomainTooSmall(QuenchLabError):
@@ -30,19 +31,12 @@ class EigensolveFailure(QuenchLabError):
 
 
 class AngleOutOfRange(QuenchLabError, ValueError):
-    """Interface angle at or beyond +-pi/2, where no frame speed exists."""
+    """Interface angle at or beyond +-pi/2, where no frame speed exists, or a
+    normal speed beyond the frame speed, where no angle exists."""
 
 
 class OutOfProfileRange(QuenchLabError):
     """Requested coordinate lies outside a 1D profile's converged range."""
-
-
-class NoCrossing(QuenchLabError):
-    """No zero crossing found in any column of the field."""
-
-
-class InsufficientPoints(QuenchLabError):
-    """Too few samples for a meaningful least-squares fit."""
 
 
 class DegenerateMpsi(QuenchLabError):

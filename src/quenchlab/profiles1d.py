@@ -301,9 +301,14 @@ def frame_speed(psi: float, cn: float, c_x: float) -> float:
     return cn / np.cos(psi) - c_x * np.tan(psi)
 
 
-def cy_from_angle(psi: float, p: ModelParams, grid: Grid1D) -> float:
-    """frame_speed at the normal speed c_n(alpha) of the wave solved on grid."""
-    return frame_speed(psi, solve_traveling_wave(p, grid).speed, p.c_x)
+def angle_from_speed(c_y: float, cn: float, c_x: float) -> float:
+    """Inverse of frame_speed: the psi with c_y cos(psi) + c_x sin(psi) = c_n,
+    psi = arcsin(c_n / r) - atan2(c_y, c_x) with r = hypot(c_x, c_y); odd in
+    c_y when c_n = 0."""
+    r = np.hypot(c_x, c_y)
+    if not abs(cn) <= r:
+        raise AngleOutOfRange(f"normal speed {cn:.6g} exceeds frame speed {r:.6g}")
+    return float(np.arcsin(cn / r) - np.arctan2(c_y, c_x))
 
 
 def export_profile(profile: Profile1D, base_path: str, p: ModelParams):

@@ -352,7 +352,7 @@ def test_sweep_workers_match_in_process_points(tmp_path):
 
 
 def test_measured_field_is_steady():
-    # one more step at solver.dt moves the field the angle is fitted on by
+    # one more step at solver.dt moves the field the angle is read from by
     # at most measure.steady_tol (the drift rounds left it moving by 1e-5)
     cfg = _small_sweep_config(g_right=(1.0,))
     p = cfg.model_params(alpha=0.02)

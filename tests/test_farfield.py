@@ -417,10 +417,16 @@ def test_bordered_slope_matches_selection_integrals(theta_half_mid,
 def test_bordered_and_predicted_slopes_agree_in_the_limit(theta_half_mid,
                                                          theta_half_fine,
                                                          fronts_cx_half):
-    # two of the three methods at the linear slope, each extrapolated from
-    # two grids assuming O(h^2): bordered psi/alpha at alpha = 0.01 from
-    # h = 0.5 and 0.25, the selection integrals' dphi/dalpha from theta at
-    # h = 0.25 and 0.125: 1.693201 and 1.692784, a gap of 2.46e-4 relative
+    # the three methods at the linear slope, each extrapolated from two
+    # grids assuming O(h^2): bordered psi/alpha at alpha = 0.01 from h = 0.5
+    # and 0.25, the selection integrals' dphi/dalpha from theta at h = 0.25
+    # and 0.125, and marched psi/alpha on [-30, 30]^2 from h = 0.5 and 0.25:
+    # 1.693201, 1.692784 and 1.693033, so the marched leg is 1.0e-4 from
+    # the bordered and 1.5e-4 from the prediction (a nodal-line fit read
+    # 1.687921, 3e-3 from both)
+    from dataclasses import replace
+
+    from quenchlab.cli import ExperimentConfig, measure_steady_angle
     from quenchlab.melnikov import build_report
 
     def richardson(coarse, fine):
@@ -432,10 +438,19 @@ def test_bordered_and_predicted_slopes_agree_in_the_limit(theta_half_mid,
                                            half_width=20.0, h=h).psi / alpha
                             for h in (0.5, 0.25)))
     top, bottom = fronts_cx_half
-    predicted = richardson(*(build_report(theta, top, bottom,
-                                          p.replace(alpha=0.0)).dphi_dalpha
-                             for theta in (theta_half_mid, theta_half_fine)))
+    reports = [build_report(theta, top, bottom, p.replace(alpha=0.0))
+               for theta in (theta_half_mid, theta_half_fine)]
+    predicted = richardson(*(rep.dphi_dalpha for rep in reports))
+    cfg = ExperimentConfig(c_x=0.5, grid2d_half_width_x=30.0,
+                           grid2d_half_width_y=30.0, solver_dt=0.25,
+                           measure_window_lo=-25.0)
+    marched = richardson(*(measure_steady_angle(
+        p, replace(cfg, grid2d_h=h),
+        psi_seed=reports[1].dphi_dalpha * alpha)["psi"] / alpha
+        for h in (0.5, 0.25)))
     assert abs(bordered - predicted) / predicted <= 9e-4
+    assert abs(marched - bordered) / bordered <= 5e-4
+    assert abs(marched - predicted) / predicted <= 5e-4
 
 
 def test_save_correction_roundtrip(bordered_zero, tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from quenchlab.errors import DomainTooSmall, OutOfProfileRange
+from quenchlab.errors import AngleOutOfRange, DomainTooSmall, OutOfProfileRange
 from quenchlab.model import ModelParams
-from quenchlab.profiles1d import (Grid1D, Profile1D, cn_prime_quadrature,
-                                  cy_from_angle, export_profile,
-                                  solve_quench_front, solve_traveling_wave)
+from quenchlab.profiles1d import (Grid1D, Profile1D, angle_from_speed,
+                                  cn_prime_quadrature, export_profile,
+                                  frame_speed, solve_quench_front,
+                                  solve_traveling_wave)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -171,20 +172,27 @@ def test_cn_prime_quadrature_values():
     assert got2 == pytest.approx(-1.0 / (2.0 * SQRT2), abs=1e-10)
 
 
-def test_cy_from_angle():
-    grid = Grid1D.symmetric(30.0, 0.01)
-    p = ModelParams(c_x=0.5, alpha=0.02, g_left=(1.0,))
-    cn = solve_traveling_wave(p, grid).speed
-    assert cy_from_angle(0.0, p, grid) == pytest.approx(cn, abs=1e-14)
-    p0 = ModelParams(c_x=0.5)
-    assert cy_from_angle(0.3, p0, grid) == pytest.approx(
-        -0.5 * np.tan(0.3), abs=1e-10)
-    # the angle derivative of the frame speed at the symmetric point is -c_x
+def test_frame_speed_and_angle_from_speed():
+    # the speed relation c_y cos(psi) + c_x sin(psi) = c_n both ways
+    cn = solve_traveling_wave(ModelParams(c_x=0.5, alpha=0.02, g_left=(1.0,)),
+                              Grid1D.symmetric(30.0, 0.01)).speed
+    assert frame_speed(0.0, cn, 0.5) == pytest.approx(cn, abs=1e-14)
+    assert angle_from_speed(cn, cn, 0.5) == pytest.approx(0.0, abs=1e-14)
+    assert frame_speed(0.3, 0.0, 0.5) == pytest.approx(-0.5 * np.tan(0.3), abs=1e-10)
+    assert angle_from_speed(-0.5 * np.tan(0.3), 0.0, 0.5) == pytest.approx(
+        0.3, abs=1e-14)
+    # at the symmetric point dc_y/dpsi = -c_x, and dpsi/dc_y = -1/c_x
     d = 1e-5
-    slope = (cy_from_angle(d, p0, grid) - cy_from_angle(-d, p0, grid)) / (2 * d)
+    slope = (frame_speed(d, 0.0, 0.5) - frame_speed(-d, 0.0, 0.5)) / (2 * d)
     assert slope == pytest.approx(-0.5, abs=1e-8)
-    with pytest.raises(ValueError):
-        cy_from_angle(2.0, p0, grid)
+    slope = (angle_from_speed(d, 0.0, 0.5) - angle_from_speed(-d, 0.0, 0.5)) / (2 * d)
+    assert slope == pytest.approx(-2.0, abs=1e-8)
+    # exactly odd in c_y when c_n = 0
+    assert angle_from_speed(-0.0317, 0.0, 0.5) == -angle_from_speed(0.0317, 0.0, 0.5)
+    with pytest.raises(AngleOutOfRange):
+        frame_speed(2.0, 0.0, 0.5)
+    with pytest.raises(AngleOutOfRange):
+        angle_from_speed(0.1, 0.6, 0.5)
 
 
 def test_analytic_tanh_profile():
