@@ -30,9 +30,16 @@ from .quench2d import Field2D, solve_theta, write_field
 # ---------------------------------------------------------------------------
 
 def smoothstep_quintic(t):
-    """C^2 ramp: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+    """C^2 ramp: 0 for t <= 0, 1 for t >= 1.
+
+    The polynomial is exactly 0 at t = 0 and 1 at t = 1, so it is evaluated
+    only strictly inside the ramp; NaN passes through.
+    """
+    t = np.asarray(np.clip(t, 0.0, 1.0), dtype=float)
+    inner = (t > 0.0) & (t < 1.0)
+    s = t[inner]
+    t[inner] = s**3 * (10.0 + s * (-15.0 + 6.0 * s))
+    return t
 
 
 #: width of the shear cutoff's ramp, which ends at x = -1
@@ -219,9 +226,13 @@ def farfield_ansatz(x, y, psi: float, profiles: FarfieldProfiles,
         out = out + chi_t * profiles.top.values_at(x)
     if np.any(chi_b):
         out = out + chi_b * profiles.bottom.values_at(x)
-    if np.any(chi_l):
-        arg = np.sin(psi) * x + np.cos(psi) * y
-        out = out + chi_l * profiles.wave_at(arg)
+    left = chi_l != 0
+    if np.any(left):  # the wave is the costly block: evaluate it where it counts
+        xl, yl = (np.broadcast_to(c, left.shape)[left] for c in (x, y))
+        wave = np.zeros(left.shape)
+        wave[left] = chi_l[left] * profiles.wave_at(np.sin(psi) * xl
+                                                    + np.cos(psi) * yl)
+        out = out + wave
     return out
 
 
@@ -300,8 +311,8 @@ def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
     """
     if w.data.shape != (w.ny, w.nx):
         raise ValueError("field shape mismatch")
-    X, Y = np.meshgrid(w.x, w.y)
-    v = ansatz_sheared(X, Y, psi, profiles, spec) + w.data
+    # x-only terms (the shear, the fronts) run on one row of nx points
+    v = ansatz_sheared(w.x, w.y[:, None], psi, profiles, spec) + w.data
     return op.residual(v, psi, profiles.c_y(psi)), v
 
 
@@ -354,13 +365,13 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
                               Grid1D.symmetric(1.6 * half_width, h1))
     if theta is None:
         theta = solve_theta(p.c_x, half_width, half_width, h=h, dt=0.25, tol=1e-9)
-    X, Y = np.meshgrid(template.x, template.y)
-    w = template.copy_with(theta.data - ansatz_sheared(X, Y, 0.0, profiles, spec))
+    x, y = template.x, template.y[:, None]
+    w = template.copy_with(theta.data - ansatz_sheared(x, y, 0.0, profiles, spec))
     w.data[0, :] = w.data[-1, :] = 0.0
     w.data[:, 0] = w.data[:, -1] = 0.0
     psi = 0.0
     op = ShearedOperator(template, p)
-    weight = np.exp(eta * (np.abs(X) + np.abs(Y)))[1:-1, 1:-1].ravel()
+    weight = np.exp(eta * (np.abs(x) + np.abs(y)))[1:-1, 1:-1].ravel()
     history = []
 
     def weighted_norm(res):

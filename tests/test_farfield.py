@@ -11,7 +11,8 @@ from quenchlab.farfield import (_GN_STEP_TOL, RADIAL_RAMP_WIDTH, PartitionSpec,
                                 ShearedOperator, ShearSpec, ansatz_sheared,
                                 build_profiles, farfield_ansatz,
                                 partition_of_unity, residual_F, save_correction,
-                                shear_inverse, solve_bordered)
+                                shear_inverse, smoothstep_quintic,
+                                solve_bordered)
 from quenchlab.model import ModelParams
 from quenchlab.profiles1d import Grid1D
 from quenchlab.quench2d import Field2D, read_field, solve_theta
@@ -59,6 +60,20 @@ def partition_derivative_bound(spec: PartitionSpec, k: int,
     hess = np.maximum(np.maximum(np.abs(gxx), np.abs(gyy)), np.abs(gxy))
     scale = ((1.0 + np.hypot(x, y)) ** 2)[None, :]
     return float((hess * scale).max())
+
+
+def test_smoothstep_matches_clipped_polynomial_bit_for_bit(rng):
+    # the ramp skips the polynomial at the clipped ends, where it is exactly
+    # 0 and 1, so every value keeps its bits; NaN passes through
+    t = np.concatenate([[0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e-300,
+                         np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+                        rng.uniform(-0.5, 1.5, 1001)])
+    c = np.clip(t, 0.0, 1.0)
+    want = c**3 * (10.0 + c * (-15.0 + 6.0 * c))
+    got = smoothstep_quintic(t)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert smoothstep_quintic(0.25) == 0.25**3 * (10.0 + 0.25 * (-15.0 + 1.5))
+    assert smoothstep_quintic(2.0) == 1.0
 
 
 def test_partition_sums_to_one(rng):
@@ -186,6 +201,18 @@ def test_sheared_ansatz_flattens_left(profiles_zero):
     v = ansatz_sheared(X, Y, psi, profiles_zero, SPEC)
     expect = profiles_zero.wave_at(np.cos(psi) * Y)
     np.testing.assert_allclose(v, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.17, -0.2])
+def test_sheared_ansatz_on_row_and_column_is_the_grid_bitwise(profiles_zero, psi):
+    # residual_F passes x as a row and y as a column, so the x-only terms
+    # run on one row; the values must keep every bit of the full grid's
+    w = Field2D.on_rectangle(30.0, 30.0, 0.5)
+    X, Y = np.meshgrid(w.x, w.y)
+    grid = ansatz_sheared(X, Y, psi, profiles_zero, SPEC)
+    rows = ansatz_sheared(w.x, w.y[:, None], psi, profiles_zero, SPEC)
+    assert rows.shape == grid.shape
+    np.testing.assert_array_equal(rows.view(np.int64), grid.view(np.int64))
 
 
 def test_residual_zero_in_pure_right_region(profiles_zero):
