@@ -182,7 +182,8 @@ def _fmt(value) -> str:
 def write_manifest(cfg: ExperimentConfig, path: str, timings: dict,
                    histories: dict | None = None):
     """Config echo plus versions, timings and Newton histories (each step's
-    residual:GMRES iterations); re-parses as a config."""
+    residual:count, the count being a sweep step's GMRES iterations or a
+    bordered iteration's refinement rounds); re-parses as a config."""
     import scipy
 
     with open(path, "w") as fh:
@@ -359,14 +360,20 @@ def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:
     log(f"spectrum: max real eigenvalue {top_eig:.6f}")
 
 
-def _run_bordered(cfg: ExperimentConfig, out: str, log) -> None:
+def _run_bordered(cfg: ExperimentConfig, out: str, log):
+    """The bordered solve; its history is each iteration's weighted
+    residual and refinement rounds (0 where the iteration factored)."""
     p = cfg.model_params()
     spec = farfield.PartitionSpec(R=cfg.bordered_R)
     cc = farfield.solve_bordered(p, spec, half_width=cfg.bordered_half_width,
                                  h=cfg.bordered_h)
     farfield.save_correction(cc, os.path.join(out, "core_correction"))
+    history = [(row[0], row[4]) for row in cc.history]
     log(f"bordered: psi={cc.psi:+.8f} residual={cc.weighted_residual:.2e} "
-        f"iterations={cc.iterations} fill={cc.history[-1][3]}")
+        f"iterations={cc.iterations} "
+        f"factorizations={sum(rounds == 0 for _, rounds in history)} "
+        f"fill={cc.history[-1][3]}")
+    return {}, {"bordered": history}
 
 
 def compare_prediction(table_path: str) -> dict:

@@ -332,8 +332,9 @@ class CoreCorrection:
     iterations: int = 0
     kkt_norm: float = 0.0  # cosine of W w and W dw/dpsi, 0 at the optimum
     #: per iteration: weighted residual at its start, kkt cosine, max-norm
-    #: step, and the L+U nonzeros of its factorization
-    history: list[tuple[float, float, float, int]] = field(default_factory=list)
+    #: step, the L+U nonzeros of the factor it used, and its refinement
+    #: rounds on that factor (0: the iteration factored its own Jacobian)
+    history: list[tuple[float, float, float, int, int]] = field(default_factory=list)
 
 
 #: Newton budget of solve_bordered: iterations, the max-norm step that ends
@@ -344,6 +345,35 @@ _GN_STEP_TOL = 1e-8
 _GN_RESIDUAL_TARGET = 1e-6
 _GN_FD_PSI = 1e-6
 
+#: refinement on a held factor: the rounds it may take, the relative size
+#: of a first correction that marks the factor as stale, and the relative
+#: size above which a correction that has stopped shrinking is a stall
+_REFINE_ROUNDS = 12
+_REFINE_STALE = 0.1
+_REFINE_STALL = 1e-8
+
+
+def _refine(lu, A, rhs, x):
+    """Iterative refinement of x, solved on lu, against A x = rhs.
+
+    lu factors an earlier Jacobian.  Returns the rounds taken, or 0 when
+    the first correction is large, the corrections stall above
+    _REFINE_STALL, a value is not finite or the rounds run out: then lu
+    must be replaced.
+    """
+    last = np.inf
+    for rounds in range(1, _REFINE_ROUNDS + 1):
+        dx = lu.solve(rhs - A @ x)
+        x += dx
+        size = float(np.max(np.linalg.norm(dx, axis=0)
+                            / np.linalg.norm(x, axis=0)))
+        if not np.isfinite(size) or rounds == 1 and size > _REFINE_STALE:
+            return 0
+        if size >= last / 2:  # no longer shrinking: round-off, or a stall
+            return rounds if size <= _REFINE_STALL else 0
+        last = size
+    return 0
+
 
 def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
                    h: float, theta: Field2D | None = None) -> CoreCorrection:
@@ -352,9 +382,13 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
     On the Dirichlet box the Jacobian A in w is invertible, so F = 0 has a
     solution w for every psi; the angle is the one whose solution is most
     localized, the least |e^{eta(|x|+|y|)} w| with eta = min(c_x, 1)/4.
-    Each iteration factors A once, solves A a = -F and A b = dF/dpsi, and
-    steps to w + a - dpsi b with dpsi minimizing the weighted norm of that
-    new w.  The symmetric zero-angle state seeds w, and psi starts at 0.
+    Each iteration solves A a = -F and A b = dF/dpsi and steps to
+    w + a - dpsi b with dpsi minimizing the weighted norm of that new w.
+    The solves run on the LU factor an earlier iteration made, refined
+    against the current A (chord Newton with refinement); A is factored
+    anew on the first iteration and whenever that refinement starts with a
+    large correction or stalls (_refine), so a and b always solve the
+    current A.  The symmetric zero-angle state seeds w, and psi starts at 0.
     """
     if not p.c_x > 0:
         raise ValueError("the bordered solve needs c_x > 0")
@@ -373,28 +407,37 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
     op = ShearedOperator(template, p)
     weight = np.exp(eta * (np.abs(x) + np.abs(y)))[1:-1, 1:-1].ravel()
     history = []
+    lu = None
 
     def weighted_norm(res):
         return float(np.linalg.norm(weight * res.ravel()) * h)
 
     for it in range(_GN_MAX_ITER):
-        # the last iteration's factor (about 50 MB at L = 30, h = 0.25) and
-        # Jacobian are dead: release them before this one's are built, so
-        # that one factorization at a time is resident
-        lu = A = None
+        # the last iteration's Jacobian is dead: release it before this
+        # one's is built
+        A = None
         r, v = residual_F(w, psi, spec, profiles, op)
         rp, _ = residual_F(w, psi + _GN_FD_PSI, spec, profiles, op)
         rm, _ = residual_F(w, psi - _GN_FD_PSI, spec, profiles, op)
         A = op.jacobian(v, psi, profiles.c_y(psi))
-        try:
-            # A's stored pattern is the symmetric 9-point stencil, so minimum
-            # degree on A^T + A orders it with about half the fill of the
-            # default COLAMD on A^T A
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise IllConditioned(f"Jacobian factorization failed: {exc}") from exc
-        a = lu.solve(-r.ravel())
-        b = lu.solve((rp - rm).ravel() / (2 * _GN_FD_PSI))
+        rhs = np.column_stack([-r.ravel(), (rp - rm).ravel() / (2 * _GN_FD_PSI)])
+        rounds = 0
+        if lu is not None:
+            ab = lu.solve(rhs)
+            rounds = _refine(lu, A, rhs, ab)
+        if not rounds:
+            # drop the held factor (about 50 MB at L = 30, h = 0.25) before
+            # the next is built, so that one factor at a time is resident
+            lu = None
+            try:
+                # A's stored pattern is the symmetric 9-point stencil, so
+                # minimum degree on A^T + A orders it with about half the
+                # fill of the default COLAMD on A^T A
+                lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise IllConditioned(f"Jacobian factorization failed: {exc}") from exc
+            ab = lu.solve(rhs)
+        a, b = ab.T
         wb = weight * b
         bb = float(wb @ wb)
         if not np.isfinite(bb) or bb == 0.0:
@@ -406,7 +449,7 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
         w.data[1:-1, 1:-1] += dw
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
-        history.append((weighted_norm(r), kkt, float(step), lu.nnz))
+        history.append((weighted_norm(r), kkt, float(step), lu.nnz, rounds))
         if step < _GN_STEP_TOL:
             break
     r, _ = residual_F(w, psi, spec, profiles, op)
