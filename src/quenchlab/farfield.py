@@ -17,8 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IllConditioned, NotConverged
-from .model import (ModelParams, reaction, reaction_jacobian, stable_zeros,
-                    transport_1d)
+from .model import ModelParams, reaction, reaction_jacobian, transport_1d
 from .profiles1d import (Grid1D, Profile1D, WaveSolution, frame_speed,
                          solve_quench_front, solve_traveling_wave)
 from .textio import write_entries
@@ -170,22 +169,17 @@ def shear_inverse(xt, yt, spec: ShearSpec):
 
 @dataclass
 class FarfieldProfiles:
-    """The four farfield blocks at one alpha: fronts, oblique wave, constant."""
+    """The four farfield blocks at one alpha: the fronts, the oblique wave,
+    and the constant right state, which is the fronts' right limit z_0."""
 
     p: ModelParams
     top: Profile1D
     bottom: Profile1D
     wave: WaveSolution
-    z_zero: float
-    wave_offset: float
 
     @property
     def cn(self) -> float:
         return self.wave.speed
-
-    def wave_at(self, s):
-        """Oblique-wave profile recentered so its zero crossing sits at s = 0."""
-        return self.wave.profile.values_at(np.asarray(s) + self.wave_offset)
 
     def c_y(self, psi: float) -> float:
         return frame_speed(psi, self.cn, self.p.c_x)
@@ -195,20 +189,15 @@ def build_profiles(p: ModelParams, front_grid: Grid1D,
                    wave_grid: Grid1D) -> FarfieldProfiles:
     """Solve the 1D blocks for an ansatz on the given grids.
 
-    Sampling the fronts on the same grid columns as the 2D field makes the
-    ansatz residual vanish to solver tolerance in the pure top/bottom/right
-    regions; the wave grid usually extends further to cover oblique
-    arguments.
+    The ansatz interpolates the fronts at the 2D field's columns; when
+    front_grid's spacing divides the field's, those columns are nodes and
+    the ansatz residual vanishes to solver tolerance in the pure
+    top/bottom/right regions.  The wave grid usually extends further to
+    cover oblique arguments.
     """
-    top = solve_quench_front("top", p, front_grid)
-    bottom = solve_quench_front("bottom", p, front_grid)
-    wave = solve_traveling_wave(p, wave_grid)
-    offset = wave.profile.zero()
-    if abs(offset) < 1e-9:
-        offset = 0.0
-    z_zero = stable_zeros(p).z_zero
-    return FarfieldProfiles(p=p, top=top, bottom=bottom, wave=wave,
-                            z_zero=z_zero, wave_offset=offset)
+    return FarfieldProfiles(p=p, top=solve_quench_front("top", p, front_grid),
+                            bottom=solve_quench_front("bottom", p, front_grid),
+                            wave=solve_traveling_wave(p, wave_grid))
 
 
 def farfield_ansatz(x, y, psi: float, profiles: FarfieldProfiles,
@@ -221,7 +210,7 @@ def farfield_ansatz(x, y, psi: float, profiles: FarfieldProfiles,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     chi_t, chi_r, chi_b, chi_l, _ = partition_of_unity(spec, x, y)
-    out = chi_r * profiles.z_zero
+    out = chi_r * profiles.top.limit_right
     if np.any(chi_t):
         out = out + chi_t * profiles.top.values_at(x)
     if np.any(chi_b):
@@ -230,8 +219,8 @@ def farfield_ansatz(x, y, psi: float, profiles: FarfieldProfiles,
     if np.any(left):  # the wave is the costly block: evaluate it where it counts
         xl, yl = (np.broadcast_to(c, left.shape)[left] for c in (x, y))
         wave = np.zeros(left.shape)
-        wave[left] = chi_l[left] * profiles.wave_at(np.sin(psi) * xl
-                                                    + np.cos(psi) * yl)
+        wave[left] = chi_l[left] * profiles.wave.profile.values_at(
+            np.sin(psi) * xl + np.cos(psi) * yl)
         out = out + wave
     return out
 

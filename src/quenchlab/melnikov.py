@@ -40,15 +40,6 @@ class MelnikovReport:
     contact_line_term: float
 
 
-def dy_centered(data: np.ndarray, hy: float) -> np.ndarray:
-    """d/dy along axis 0: centered inside, one-sided on the boundary rows."""
-    out = np.zeros_like(data)
-    out[1:-1, :] = (data[2:, :] - data[:-2, :]) / (2.0 * hy)
-    out[0, :] = (data[1, :] - data[0, :]) / hy
-    out[-1, :] = (data[-1, :] - data[-2, :]) / hy
-    return out
-
-
 def m_psi_detail(theta: Field2D, c_x: float):
     """Angle sensitivity m_psi = -c_x * integral of (dTheta/dy)^2 e^{c_x x},
     and a truncation estimate.
@@ -59,7 +50,7 @@ def m_psi_detail(theta: Field2D, c_x: float):
     when the integral is cut to the middle half of the domain in each
     direction: it measures the domain truncation, not the h-error.
     """
-    thy = dy_centered(theta.data, theta.hy)
+    thy = np.gradient(theta.data, theta.hy, axis=0)
     w = thy**2 * np.exp(c_x * theta.x)[None, :]
     if not np.isfinite(w).all():
         raise NonFinite("weighted integrand is not finite")

@@ -105,16 +105,6 @@ class Profile1D:
         out = np.where(above, self.limit_right, out)
         return out if out.ndim else float(out)
 
-    def zero(self) -> float:
-        """Zero of an increasing profile's cubic: Newton's method on the piece
-        of the cell where the values change sign, from the cell's left node."""
-        cell = int(np.argmax(self.values > 0)) - 1
-        c3, c2, c1, c0 = self._pieces[:, cell]
-        z = 0.0
-        for _ in range(5):
-            z -= (((c3 * z + c2) * z + c1) * z + c0) / ((3 * c3 * z + 2 * c2) * z + c1)
-        return float(self.grid.nodes()[cell] + z)
-
 
 @dataclass
 class WaveSolution:
@@ -229,14 +219,15 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D) -> WaveSolution:
     """Planar bistable front z'' + c z' + z - z^3 + alpha g_l(z) = 0.
 
     The wave speed is an unknown, determined together with the profile by a
-    bordered Newton iteration under the phase condition z(0) = (z_+ + z_-)/2;
-    the result is the selected normal speed.  The medium is bistable on the
+    bordered Newton iteration under the phase condition z(0) = 0, which puts
+    the wave's zero, the farfield's nodal line, on the origin node; the
+    result is the selected normal speed.  The medium is bistable on the
     whole line, so the model's kinetics are taken at a coordinate x < 0.
     """
     x = grid.nodes()
     h = grid.h
     bistable = np.full(grid.n, -1.0)
-    i_mid = grid.index_of_origin()
+    i0 = grid.index_of_origin()
     try:
         branches = stable_zeros(p)
     except NoConvergence as exc:
@@ -249,7 +240,7 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D) -> WaveSolution:
 
     for _ in range(NEWTON_MAX_ITER):
         r, matrix = _newton_system(transport_1d(grid.n, h, c), bistable, z, p, h)
-        phase = z[i_mid] - mid
+        phase = z[i0]
         rn = max(np.abs(r).max(), abs(phase))
         if rn < NEWTON_TOL:
             break
@@ -257,10 +248,10 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D) -> WaveSolution:
         zcol = np.zeros_like(z)
         zcol[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
         pvec, qvec = _tridiag_solve(*matrix, np.column_stack((-r, zcol))).T
-        denom = qvec[i_mid]
+        denom = qvec[i0]
         if abs(denom) < 1e-14:
             raise NoConvergence("phase condition degenerate")
-        dc = (pvec[i_mid] + phase) / denom
+        dc = (pvec[i0] + phase) / denom
         dz = pvec - dc * qvec
         c += dc
         z = z + dz

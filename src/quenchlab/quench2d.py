@@ -58,15 +58,6 @@ class Field2D:
         return Field2D(self.nx, self.ny, self.x0, self.y0, self.hx, self.hy,
                        data=np.array(data, dtype=float))
 
-    def restrict(self, stride: int) -> "Field2D":
-        """Node-aligned coarsening by an integer stride (same extent)."""
-        if (self.nx - 1) % stride or (self.ny - 1) % stride:
-            raise ValueError(f"stride {stride} does not preserve the extent")
-        sub = self.data[::stride, ::stride]
-        return Field2D(nx=sub.shape[1], ny=sub.shape[0], x0=self.x0, y0=self.y0,
-                       hx=self.hx * stride, hy=self.hy * stride,
-                       data=sub.copy())
-
     @classmethod
     def on_rectangle(cls, half_width_x: float, half_width_y: float, h: float) -> "Field2D":
         """Zero field on [-Lx, Lx] x [-Ly, Ly]; x = 0 and y = 0 land on nodes."""

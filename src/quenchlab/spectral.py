@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainTooSmall, EigensolveFailure
-from .melnikov import dy_centered
 from .model import (ModelParams, interface_correction, origin_index,
                     reaction_derivative, transport_1d)
 from .profiles1d import Grid1D, Profile1D
@@ -117,7 +116,7 @@ def kernel_check_2d(theta: Field2D, c_x: float) -> KernelCheck:
     x = theta.x
     q_bar = reaction_derivative(x, data, _UNPERTURBED)
 
-    v = dy_centered(data, hy)
+    v = np.gradient(data, hy, axis=0)
     weight = np.exp(c_x * x)[None, :]
     wv = weight * v
 

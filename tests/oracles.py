@@ -1,5 +1,6 @@
-"""Reference forms that only the tests use: the forward shear and the 2D
-steady residual assembled as a sparse Kronecker sum."""
+"""Reference forms that only the tests use: the forward shear, the 2D
+steady residual assembled as a sparse Kronecker sum, and the restriction
+of a field to a coarser grid."""
 import numpy as np
 import scipy.sparse as sp
 
@@ -28,3 +29,12 @@ def elliptic_residual(u: Field2D, p: ModelParams) -> np.ndarray:
     """Discrete steady residual Lap u + c.grad u + reaction(u) at the field u."""
     lin = (transport(u, p) @ u.data.ravel()).reshape(u.data.shape)
     return lin + reaction(u.x, u.data, p, u.hx)
+
+
+def restrict(u: Field2D, stride: int) -> Field2D:
+    """Node-aligned coarsening of u by an integer stride (same extent)."""
+    if (u.nx - 1) % stride or (u.ny - 1) % stride:
+        raise ValueError(f"stride {stride} does not preserve the extent")
+    sub = u.data[::stride, ::stride]
+    return Field2D(nx=sub.shape[1], ny=sub.shape[0], x0=u.x0, y0=u.y0,
+                   hx=u.hx * stride, hy=u.hy * stride, data=sub.copy())

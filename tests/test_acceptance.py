@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import shear_map
+from oracles import restrict, shear_map
 
 from quenchlab.cli import ExperimentConfig, measure_steady_angle
 from quenchlab.farfield import (PartitionSpec, ShearedOperator, ShearSpec,
@@ -200,7 +200,7 @@ def test_criterion_07_quantitative_slope_agreement(report_family1,
 
 def test_criterion_08_kernel_directions(theta_half_fine):
     t0 = time.perf_counter()
-    checks = {s: kernel_check_2d(theta_half_fine.restrict(s), 0.5)
+    checks = {s: kernel_check_2d(restrict(theta_half_fine, s), 0.5)
               for s in (2, 4)}
     order_fwd = np.log2(checks[4].forward_residual / checks[2].forward_residual)
     order_adj = np.log2(checks[4].adjoint_residual / checks[2].adjoint_residual)

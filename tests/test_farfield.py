@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from quenchlab.farfield import (_GN_STEP_TOL, RADIAL_RAMP_WIDTH, PartitionSpec,
                                 shear_inverse, smoothstep_quintic,
                                 solve_bordered)
 from quenchlab.model import ModelParams
-from quenchlab.profiles1d import Grid1D
+from quenchlab.profiles1d import NEWTON_TOL, Grid1D
 from quenchlab.quench2d import Field2D, read_field, solve_theta
 
 SPEC = PartitionSpec(R=12.0)
@@ -157,40 +158,43 @@ def profiles_zero():
 
 @pytest.mark.parametrize("alpha", [0.1, -0.1])
 @pytest.mark.parametrize("g_left", [(), (0.3, -0.2, 0.5, 0.4)])
-def test_wave_offset_is_the_cubic_zero(alpha, g_left):
+def test_wave_zero_is_on_the_origin(alpha, g_left):
     # brentq on scipy's CubicSpline through the wave is the reference
     from scipy.interpolate import CubicSpline
     from scipy.optimize import brentq
     p = ModelParams(c_x=0.5, alpha=alpha, g_left=g_left, g_right=(1.0,))
-    profiles = build_profiles(p, Grid1D.symmetric(30.0, 0.02),
-                              Grid1D.symmetric(48.0, 0.02))
-    wave = profiles.wave.profile
+    wave = build_profiles(p, Grid1D.symmetric(30.0, 0.02),
+                          Grid1D.symmetric(48.0, 0.02)).wave.profile
+    if g_left:  # asymmetric branches: the midpoint value is not the zero
+        assert abs(wave.limit_left + wave.limit_right) > 0.02
     nodes = wave.grid.nodes()
     ref = brentq(CubicSpline(nodes, wave.values), nodes[0] / 2, nodes[-1] / 2)
-    if g_left:
-        assert abs(ref) > 0.01
-        assert abs(profiles.wave_offset - ref) <= 1e-15
-    else:  # the phase condition puts the zero on the origin node
-        assert profiles.wave_offset == 0.0
+    assert abs(ref) <= 1e-9
+    assert abs(wave.values[wave.grid.index_of_origin()]) < NEWTON_TOL
 
 
 def test_ansatz_farfield_values(profiles_zero):
     # deep right: exactly the right equilibrium
     v = farfield_ansatz(30.0, 0.0, 0.1, profiles_zero, SPEC)
-    assert v == pytest.approx(profiles_zero.z_zero, abs=1e-15)
+    assert v == pytest.approx(profiles_zero.top.limit_right, abs=1e-15)
     # deep top at psi=0: the top front
     v = farfield_ansatz(-3.0, 30.0, 0.0, profiles_zero, SPEC)
     assert v == pytest.approx(profiles_zero.top.values_at(-3.0), abs=1e-12)
 
 
 def test_ansatz_nodal_ray(profiles_zero):
-    # the left block vanishes along y = -tan(psi) x
+    # the left block vanishes along y = -tan(psi) x, also where asymmetric
+    # bistable branches move the wave's zero off their midpoint value
+    p = ModelParams(c_x=0.5, alpha=0.1, g_left=(0.3, -0.2, 0.5, 0.4),
+                    g_right=(1.0,))
+    skewed = build_profiles(p, Grid1D.symmetric(40.0, 0.02),
+                            Grid1D.symmetric(60.0, 0.02))
     psi = 0.15
-    for x in (-25.0, -35.0):
+    for profiles, x in itertools.product((profiles_zero, skewed), (-25.0, -35.0)):
         y_ray = -np.tan(psi) * x
-        v = farfield_ansatz(x, y_ray, psi, profiles_zero, SPEC)
+        v = farfield_ansatz(x, y_ray, psi, profiles, SPEC)
         assert abs(v) < 1e-10
-        assert farfield_ansatz(x, y_ray + 1.0, psi, profiles_zero, SPEC) > 0.3
+        assert farfield_ansatz(x, y_ray + 1.0, psi, profiles, SPEC) > 0.3
 
 
 def test_sheared_ansatz_flattens_left(profiles_zero):
@@ -199,7 +203,7 @@ def test_sheared_ansatz_flattens_left(profiles_zero):
     X = np.full(5, -30.0)
     Y = np.linspace(-3.0, 3.0, 5)
     v = ansatz_sheared(X, Y, psi, profiles_zero, SPEC)
-    expect = profiles_zero.wave_at(np.cos(psi) * Y)
+    expect = profiles_zero.wave.profile.values_at(np.cos(psi) * Y)
     np.testing.assert_allclose(v, expect, atol=1e-12)
 
 

@@ -21,9 +21,16 @@ def _identifiers(node):
             yield sub.value
 
 
+def _public(node):
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+        and not node.name.startswith("_")
+
+
 def test_public_library_names_have_a_caller_in_src_or_bench():
     """Each public module-level function or class of src/quenchlab is named
-    by some other top-level statement in src/quenchlab or bench.
+    by some other top-level statement in src/quenchlab or bench, and each
+    public method of a library class by some other top-level statement or
+    some other member of its class.
 
     A name-based ratchet: it matches identifiers, not bindings, so a
     same-named attribute elsewhere (such as `report.m_psi` for a function
@@ -35,11 +42,17 @@ def test_public_library_names_have_a_caller_in_src_or_bench():
                   for node in ast.parse(path.read_text()).body]
     names = [(node, set(_identifiers(node))) for _, node in statements]
     unused = [f"{path.stem}.{node.name}" for path, node in statements
-              if path in library
-              and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
+              if path in library and _public(node)
               and not any(node.name in used for other, used in names
                           if other is not node)]
+    for path, cls in statements:
+        if path not in library or not isinstance(cls, ast.ClassDef):
+            continue
+        members = [(node, set(_identifiers(node))) for node in cls.body]
+        unused += [f"{path.stem}.{cls.name}.{node.name}" for node, _ in members
+                   if _public(node)
+                   and not any(node.name in used for other, used in names + members
+                               if other not in (node, cls))]
     assert unused == []
 
 

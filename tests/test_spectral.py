@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import restrict
 
 from quenchlab.errors import DomainTooSmall
 from quenchlab.model import ModelParams, reaction_derivative
@@ -98,7 +99,7 @@ def test_kernel_check_consistency_order(theta_half_fine):
     fine = theta_half_fine
     res = {}
     for stride in (2, 4):
-        chk = kernel_check_2d(fine.restrict(stride), 0.5)
+        chk = kernel_check_2d(restrict(fine, stride), 0.5)
         res[stride] = chk
     assert np.log2(res[4].forward_residual / res[2].forward_residual) > 1.8
     assert np.log2(res[4].adjoint_residual / res[2].adjoint_residual) > 1.8
