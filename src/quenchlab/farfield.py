@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import IllConditioned, NotConverged
+from .errors import AngleOutOfRange, IllConditioned, NotConverged
 from .model import ModelParams, reaction, reaction_jacobian, transport_1d
 from .profiles1d import (Grid1D, Profile1D, WaveSolution, frame_speed,
                          solve_quench_front, solve_traveling_wave)
@@ -153,7 +153,7 @@ class ShearSpec:
 
     def __post_init__(self):
         if not abs(self.psi) < np.pi / 2:
-            raise ValueError("need |psi| < pi/2")
+            raise AngleOutOfRange(f"shear angle {self.psi:.6g} needs |psi| < pi/2")
 
 
 def shear_inverse(xt, yt, spec: ShearSpec):
@@ -378,6 +378,9 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
     anew on the first iteration and whenever that refinement starts with a
     large correction or stalls (_refine), so a and b always solve the
     current A.  The symmetric zero-angle state seeds w, and psi starts at 0.
+    NotConverged is raised unless a step falls below _GN_STEP_TOL within
+    _GN_MAX_ITER iterations and the weighted residual then meets
+    _GN_RESIDUAL_TARGET.
     """
     if not p.c_x > 0:
         raise ValueError("the bordered solve needs c_x > 0")
@@ -441,6 +444,9 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
         history.append((weighted_norm(r), kkt, float(step), lu.nnz, rounds))
         if step < _GN_STEP_TOL:
             break
+    else:
+        raise NotConverged(f"last step {step:.3e} above {_GN_STEP_TOL} "
+                           f"after {_GN_MAX_ITER} iterations")
     r, _ = residual_F(w, psi, spec, profiles, op)
     rn = weighted_norm(r)
     if not rn <= _GN_RESIDUAL_TARGET:  # a NaN residual fails too

@@ -113,14 +113,14 @@ def build_report(theta: Field2D, u_top: Profile1D, u_bottom: Profile1D,
     # m_psi = -c_x * (a nonnegative integral), so this also rejects c_x = 0
     if not mp < -MIN_M_PSI:
         raise DegenerateMpsi(f"m_psi = {mp:.3e} is not negative enough")
-    cnp = cn_prime_quadrature(p.g_left)
+    cnp, cnp_err = cn_prime_quadrature(p.g_left)
     contact, contact_err = contact_line_integral(u_top, u_bottom, p)
     geometric = -cnp * mp / p.c_x
     ma = geometric - contact
     return MelnikovReport(
         m_psi=mp, m_alpha=ma, cn_prime=cnp, dphi_dalpha=-ma / mp, c_x=p.c_x,
         quadrature_error={"m_psi_truncation": mp_err,
-                          "contact_line": contact_err, "cn_prime": 1e-10},
+                          "contact_line": contact_err, "cn_prime": cnp_err},
         geometric_term=geometric, contact_line_term=ma - geometric)
 
 

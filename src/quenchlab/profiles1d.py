@@ -8,7 +8,6 @@ relation between normal speed, frame speed, and interface angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -77,32 +76,19 @@ class Profile1D:
     residual_norm: float
     kind: str
 
-    @cached_property
-    def _pieces(self) -> np.ndarray:
-        return _not_a_knot_pieces(self.grid.nodes(), self.values)
-
     def values_at(self, x):
-        """Not-a-knot cubic interpolation, bit for bit scipy's spline of that
-        kind (same slope system, Hermite pieces and order of summation);
-        beyond the grid, converged tails extend by their limits."""
+        """Linear interpolation between the nodes; beyond the grid, converged
+        tails extend by their limits."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.grid.x_min, self.grid.x_max
-        below, above = x < lo, x > hi
-        if below.any() and abs(self.values[0] - self.limit_left) > TAIL_TOL:
+        if (x < lo).any() and abs(self.values[0] - self.limit_left) > TAIL_TOL:
             raise OutOfProfileRange(
                 f"x < {lo} requested but the left tail has not converged")
-        if above.any() and abs(self.values[-1] - self.limit_right) > TAIL_TOL:
+        if (x > hi).any() and abs(self.values[-1] - self.limit_right) > TAIL_TOL:
             raise OutOfProfileRange(
                 f"x > {hi} requested but the right tail has not converged")
-        x = np.clip(x, lo, hi)
-        nodes = self.grid.nodes()
-        cell = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-        c3, c2, c1, c0 = self._pieces[:, cell]
-        z = x - nodes[cell]
-        zz = z * z
-        out = c0 + c1 * z + c2 * zz + c3 * (zz * z)
-        out = np.where(below, self.limit_left, out)
-        out = np.where(above, self.limit_right, out)
+        out = np.interp(x, self.grid.nodes(), self.values,
+                        left=self.limit_left, right=self.limit_right)
         return out if out.ndim else float(out)
 
 
@@ -138,26 +124,6 @@ def _tridiag_solve(lower, diag, upper, rhs):
     if info:
         raise LinearSolveFailure(f"singular tridiagonal matrix (dgtsv info {info})")
     return x
-
-
-def _not_a_knot_pieces(x, y) -> np.ndarray:
-    """Cubic Hermite pieces of the not-a-knot spline through (x, y), n >= 4:
-    power-form coefficients, highest power first, one column per cell.
-
-    The node slopes solve scipy's tridiagonal system for this spline with
-    scipy's arithmetic, so the pieces agree with scipy's bit for bit.
-    """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    rhs = np.concatenate((
-        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0],
-        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]))
-    s = _tridiag_solve(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), rhs)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def solve_quench_front(side: str, p: ModelParams, grid: Grid1D) -> Profile1D:
@@ -263,25 +229,23 @@ def solve_traveling_wave(p: ModelParams, grid: Grid1D) -> WaveSolution:
     return WaveSolution(profile=profile, speed=c)
 
 
-def cn_prime_quadrature(g_left) -> float:
-    """Slope of the normal speed at alpha = 0 from the balanced front.
+def cn_prime_quadrature(g_left):
+    """Slope of the normal speed at alpha = 0 from the balanced front, and an
+    error estimate.
 
     Evaluates -int g_l(u*) u*' dy / int (u*')^2 dy with u* = tanh(y/sqrt 2)
-    by composite Gauss-Legendre quadrature; both integrands decay like
-    exp(-2*sqrt(2)|y|), so |y| <= 40 truncates far below 1e-10.
+    by the trapezoid rule on |y| <= 40 with spacing 1/8.  Both integrands
+    are analytic and decay like exp(-2*sqrt(2)|y|), so the rule converges
+    geometrically and the truncation is negligible; the estimate is the
+    change from the rule at spacing 1/4.
     """
-    half_width, panels = 40.0, 160
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(-half_width, half_width, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    y = (mids[:, None] + half * nodes[None, :]).ravel()
-    w = np.tile(half * weights, panels)
-    us = np.tanh(y / SQRT2)
+    us = np.tanh(np.linspace(-40.0, 40.0, 641) / SQRT2)
     up = (1.0 - us**2) / SQRT2
-    num = np.sum(w * poly_eval(g_left, us) * up)
-    den = np.sum(w * up**2)
-    return -num / den
+    num, den = poly_eval(g_left, us) * up, up**2
+    # the spacing cancels in the ratio
+    fine = -np.trapezoid(num) / np.trapezoid(den)
+    coarse = -np.trapezoid(num[::2]) / np.trapezoid(den[::2])
+    return float(fine), float(abs(fine - coarse))
 
 
 def frame_speed(psi: float, cn: float, c_x: float) -> float:

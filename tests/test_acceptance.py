@@ -90,7 +90,7 @@ def test_criterion_02_traveling_wave_balanced():
 
 def test_criterion_03_speed_slope_formula():
     t0 = time.perf_counter()
-    quad = cn_prime_quadrature((1.0,))
+    quad, _ = cn_prime_quadrature((1.0,))
     target = 3.0 / SQRT2
     grid = Grid1D.symmetric(30.0, 0.01)
     delta = 1e-3

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from oracles import elliptic_residual, shear_map
 
 from quenchlab import farfield
+from quenchlab.errors import AngleOutOfRange, NotConverged
 from quenchlab.farfield import (_GN_STEP_TOL, RADIAL_RAMP_WIDTH, PartitionSpec,
                                 ShearedOperator, ShearSpec, ansatz_sheared,
                                 build_profiles, farfield_ansatz,
@@ -136,7 +137,7 @@ def test_shear_map_examples():
     xt, yt = shear_map(-6.0, 1.0, s)  # fully sheared for x < -5
     assert xt == -6.0
     assert yt == pytest.approx(1.0 - 6.0 * np.tan(np.pi / 6), abs=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(AngleOutOfRange):
         ShearSpec(psi=2.0)
 
 
@@ -431,6 +432,15 @@ def test_bordered_angle_odd_in_alpha(bordered_small):
     assert plus.weighted_residual < 1e-9
     # psi gives the least weighted norm: W w is orthogonal to W dw/dpsi
     assert plus.kkt_norm < 1e-5
+
+
+def test_bordered_budget_ends_in_not_converged(monkeypatch):
+    # at L = 14, R = 7 the sixth step is still 6.5e-6 although the weighted
+    # residual (3.8e-10) already meets its target
+    monkeypatch.setattr(farfield, "_GN_MAX_ITER", 6)
+    p = ModelParams(c_x=0.5, alpha=0.1, g_right=(1.0,))
+    with pytest.raises(NotConverged, match="last step 6.5"):
+        solve_bordered(p, PartitionSpec(R=7.0), half_width=14.0, h=0.25)
 
 
 def test_bordered_angle_converges_in_h():

@@ -53,6 +53,7 @@ def test_m_alpha_signs(theta_half_small, fronts_cx_half):
     # left-side even forcing: near-cancelling contributions, net negative
     rep = build_report(theta_half_small, top, bottom, _FAMILY_2)
     assert rep.cn_prime == pytest.approx(-1.0 / (2.0 * SQRT2), abs=1e-10)
+    assert rep.quadrature_error["cn_prime"] < 1e-14
     assert rep.m_alpha < 0.0 and rep.dphi_dalpha < 0.0
 
 
