@@ -362,18 +362,28 @@ def _run_spectrum(cfg: ExperimentConfig, out: str, log) -> None:
 
 def _run_bordered(cfg: ExperimentConfig, out: str, log):
     """The bordered solve; its history is each iteration's weighted
-    residual and refinement rounds (0 where the iteration factored)."""
+    residual and refinement rounds (0 where the iteration factored), one
+    history per grid level: `bordered` the finest, `bordered_2h` the next
+    coarser, and so on.  The log counts iterations and factorizations per
+    level, coarsest first."""
     p = cfg.model_params()
     spec = farfield.PartitionSpec(R=cfg.bordered_R)
     cc = farfield.solve_bordered(p, spec, half_width=cfg.bordered_half_width,
                                  h=cfg.bordered_h)
     farfield.save_correction(cc, os.path.join(out, "core_correction"))
-    history = [(row[0], row[4]) for row in cc.history]
+    levels = [cc]
+    while levels[-1].coarse is not None:
+        levels.append(levels[-1].coarse)
+    histories = {"bordered" + (f"_{2**k}h" if k else ""):
+                 [(row[0], row[4]) for row in level.history]
+                 for k, level in enumerate(levels)}
+    iterations = "+".join(str(level.iterations) for level in reversed(levels))
+    factorizations = "+".join(str(sum(row[4] == 0 for row in level.history))
+                              for level in reversed(levels))
     log(f"bordered: psi={cc.psi:+.8f} residual={cc.weighted_residual:.2e} "
-        f"iterations={cc.iterations} "
-        f"factorizations={sum(rounds == 0 for _, rounds in history)} "
+        f"iterations={iterations} factorizations={factorizations} "
         f"fill={cc.history[-1][3]}")
-    return {}, {"bordered": history}
+    return {}, histories
 
 
 def compare_prediction(table_path: str) -> dict:

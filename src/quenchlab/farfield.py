@@ -311,7 +311,7 @@ def residual_F(w: Field2D, psi: float, spec: PartitionSpec,
 
 @dataclass
 class CoreCorrection:
-    """Core remainder and selected angle from the bordered solve."""
+    """Core remainder and selected angle from one level of the bordered solve."""
 
     w: Field2D
     psi: float
@@ -324,6 +324,15 @@ class CoreCorrection:
     #: step, the L+U nonzeros of the factor it used, and its refinement
     #: rounds on that factor (0: the iteration factored its own Jacobian)
     history: list[tuple[float, float, float, int, int]] = field(default_factory=list)
+    #: the solve on the grid of twice the spacing that seeded this one, or
+    #: None at the coarsest level
+    coarse: CoreCorrection | None = None
+
+    @property
+    def error_h(self) -> float | None:
+        """Richardson estimate |psi_h - psi_2h| / 3 of psi's O(h^2) error,
+        or None where no 2h level ran."""
+        return None if self.coarse is None else abs(self.psi - self.coarse.psi) / 3.0
 
 
 #: Newton budget of solve_bordered: iterations, the max-norm step that ends
@@ -333,6 +342,12 @@ _GN_MAX_ITER = 30
 _GN_STEP_TOL = 1e-8
 _GN_RESIDUAL_TARGET = 1e-6
 _GN_FD_PSI = 1e-6
+
+#: nested grids of solve_bordered: the largest spacing of a coarse level,
+#: and the max-norm step that ends a coarse level's iterations (its answer
+#: only seeds the next finer level)
+_COARSEST_H = 0.5
+_COARSE_STEP_TOL = 1e-3
 
 #: refinement on a held factor: the rounds it may take, the relative size
 #: of a first correction that marks the factor as stale, and the relative
@@ -364,8 +379,31 @@ def _refine(lu, A, rhs, x):
     return 0
 
 
+def _spacings(half_width: float, h: float) -> list[float]:
+    """The nested grids' spacings, finest first: h, 2h, ... up to
+    _COARSEST_H, while the finer grid's node count per half-width is even,
+    so that every other node of it spans the same box."""
+    m, out = int(round(half_width / h)), [h]
+    while m % 2 == 0 and 2 * out[-1] <= _COARSEST_H:
+        m //= 2
+        out.append(2 * out[-1])
+    return out
+
+
+def _prolong(coarse: np.ndarray) -> np.ndarray:
+    """Bilinear prolongation to the grid of half the spacing: the shared
+    nodes keep their values, the nodes between take the averages, and a
+    zero boundary stays zero."""
+    ny, nx = coarse.shape
+    fine = np.empty((2 * ny - 1, 2 * nx - 1))
+    fine[::2, ::2] = coarse
+    fine[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    fine[:, 1::2] = 0.5 * (fine[:, :-1:2] + fine[:, 2::2])
+    return fine
+
+
 def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
-                   h: float, theta: Field2D | None = None) -> CoreCorrection:
+                   h: float) -> CoreCorrection:
     """Solve the sheared equation for (w, psi) by a bordered Newton iteration.
 
     On the Dirichlet box the Jacobian A in w is invertible, so F = 0 has a
@@ -377,26 +415,56 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
     against the current A (chord Newton with refinement); A is factored
     anew on the first iteration and whenever that refinement starts with a
     large correction or stalls (_refine), so a and b always solve the
-    current A.  The symmetric zero-angle state seeds w, and psi starts at 0.
-    NotConverged is raised unless a step falls below _GN_STEP_TOL within
-    _GN_MAX_ITER iterations and the weighted residual then meets
-    _GN_RESIDUAL_TARGET.
+    current A.
+
+    The iteration runs on nested grids of spacings h, 2h, ... (_spacings),
+    coarsest first (nested iteration, Briggs, Henson and McCormick, *A
+    Multigrid Tutorial*, 2000, ch. 3).  The coarsest level starts from the
+    symmetric zero-angle state at its own spacing and psi = 0, and stops
+    once a step falls below _COARSE_STEP_TOL; each finer level starts from
+    the prolonged (w, psi) of the level below.  All levels share the 1D
+    blocks, solved at the finest level's spacing.  NotConverged is raised
+    unless every level takes a step below its tolerance (_GN_STEP_TOL on
+    the finest) within _GN_MAX_ITER iterations and the finest level's
+    weighted residual then meets _GN_RESIDUAL_TARGET.  The result is the
+    finest level's; its `coarse` holds the level below.
     """
     if not p.c_x > 0:
         raise ValueError("the bordered solve needs c_x > 0")
-    eta = min(p.c_x, 1.0) / 4.0
-    template = Field2D.on_rectangle(half_width, half_width, h)
     h1 = min(h / 4, 0.02)
     profiles = build_profiles(p, Grid1D.symmetric(half_width, h1),
                               Grid1D.symmetric(1.6 * half_width, h1))
-    if theta is None:
-        theta = solve_theta(p.c_x, half_width, half_width, h=h, dt=0.25, tol=1e-9)
-    x, y = template.x, template.y[:, None]
-    w = template.copy_with(theta.data - ansatz_sheared(x, y, 0.0, profiles, spec))
-    w.data[0, :] = w.data[-1, :] = 0.0
-    w.data[:, 0] = w.data[:, -1] = 0.0
-    psi = 0.0
-    op = ShearedOperator(template, p)
+    cc = None
+    for h_level in reversed(_spacings(half_width, h)):
+        if cc is None:
+            theta = solve_theta(p.c_x, half_width, half_width, h=h_level,
+                                dt=0.25, tol=1e-9)
+            w = theta.copy_with(theta.data - ansatz_sheared(
+                theta.x, theta.y[:, None], 0.0, profiles, spec))
+            w.data[0, :] = w.data[-1, :] = 0.0
+            w.data[:, 0] = w.data[:, -1] = 0.0
+            psi = 0.0
+        else:
+            w = Field2D.on_rectangle(half_width, half_width,
+                                     h_level).copy_with(_prolong(cc.w.data))
+            psi = cc.psi
+        step_tol = _GN_STEP_TOL if h_level == h else _COARSE_STEP_TOL
+        cc = _newton(p, spec, profiles, w, psi, step_tol, coarse=cc)
+    if not cc.weighted_residual <= _GN_RESIDUAL_TARGET:  # a NaN fails too
+        raise NotConverged(
+            f"weighted residual {cc.weighted_residual:.3e} above target "
+            f"{_GN_RESIDUAL_TARGET} after {cc.iterations} iterations")
+    return cc
+
+
+def _newton(p: ModelParams, spec: PartitionSpec, profiles: FarfieldProfiles,
+            w: Field2D, psi: float, step_tol: float,
+            coarse: CoreCorrection | None) -> CoreCorrection:
+    """The bordered Newton iteration of solve_bordered on w's grid, from
+    (w, psi), until a max-norm step falls below step_tol."""
+    eta = min(p.c_x, 1.0) / 4.0
+    x, y, h = w.x, w.y[:, None], w.hx
+    op = ShearedOperator(w, p)
     weight = np.exp(eta * (np.abs(x) + np.abs(y)))[1:-1, 1:-1].ravel()
     history = []
     lu = None
@@ -442,29 +510,27 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
         history.append((weighted_norm(r), kkt, float(step), lu.nnz, rounds))
-        if step < _GN_STEP_TOL:
+        if step < step_tol:
             break
     else:
-        raise NotConverged(f"last step {step:.3e} above {_GN_STEP_TOL} "
+        raise NotConverged(f"at h = {h:g}: last step {step:.3e} above {step_tol} "
                            f"after {_GN_MAX_ITER} iterations")
     r, _ = residual_F(w, psi, spec, profiles, op)
-    rn = weighted_norm(r)
-    if not rn <= _GN_RESIDUAL_TARGET:  # a NaN residual fails too
-        raise NotConverged(
-            f"weighted residual {rn:.3e} above target {_GN_RESIDUAL_TARGET} "
-            f"after {it + 1} iterations")
     return CoreCorrection(w=w, psi=float(psi), alpha=p.alpha,
-                          weighted_residual=rn, weight_rate=eta,
+                          weighted_residual=weighted_norm(r), weight_rate=eta,
                           iterations=it + 1, kkt_norm=float(kkt),
-                          history=history)
+                          history=history, coarse=coarse)
 
 
 def save_correction(cc: CoreCorrection, base_path: str):
-    """Persist the core correction: grid binary plus key=value metadata."""
+    """Persist the core correction: grid binary plus key=value metadata,
+    with the h-error bar where a 2h level ran."""
     write_field(cc.w, base_path + ".qnch")
-    write_entries(base_path + ".meta", {
-        "psi": f"{cc.psi:.17g}",
-        "alpha": f"{cc.alpha:.17g}",
-        "eta": f"{cc.weight_rate:.17g}",
-        "weighted_residual": f"{cc.weighted_residual:.6e}",
-        "iterations": cc.iterations})
+    meta = {"psi": f"{cc.psi:.17g}",
+            "alpha": f"{cc.alpha:.17g}",
+            "eta": f"{cc.weight_rate:.17g}",
+            "weighted_residual": f"{cc.weighted_residual:.6e}",
+            "iterations": cc.iterations}
+    if cc.error_h is not None:
+        meta["error_h"] = f"{cc.error_h:.6e}"
+    write_entries(base_path + ".meta", meta)

@@ -267,20 +267,17 @@ def test_criterion_10_structure(rng):
                     + "/".join(f"{s:.1e}" for s in sups), t0)
 
 
-def test_criterion_11_bordered_vs_marching(theta_half_mid, measure_cfg_fine,
-                                           report_family1):
+def test_criterion_11_bordered_vs_marching(measure_cfg_fine, report_family1):
     t0 = time.perf_counter()
     spec = PartitionSpec(R=12.0)
     p0 = ModelParams(c_x=0.5)
-    cc0 = solve_bordered(p0, spec, half_width=30.0, h=0.25,
-                         theta=theta_half_mid)
+    cc0 = solve_bordered(p0, spec, half_width=30.0, h=0.25)
     ok = abs(cc0.psi) < 1e-6
 
     details = [f"psi(0) = {cc0.psi:+.2e}"]
     for alpha in (0.1, -0.1):
         p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
-        cc = solve_bordered(p, spec, half_width=30.0, h=0.25,
-                            theta=theta_half_mid)
+        cc = solve_bordered(p, spec, half_width=30.0, h=0.25)
         seed = report_family1.dphi_dalpha * alpha
         measured = measure_steady_angle(p, measure_cfg_fine, psi_seed=seed)["psi"]
         gap = abs(cc.psi - measured)

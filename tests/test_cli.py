@@ -352,24 +352,31 @@ def test_sweep_workers_match_in_process_points(tmp_path):
 
 
 def test_bordered_manifest_records_refinement_history(tmp_path):
-    # one residual:rounds entry per iteration, 0 rounds where it factored
+    # one residual:rounds entry per iteration and level, 0 rounds where it
+    # factored; h = 0.25 runs an h = 0.5 level first
     lines = []
     cfg = ExperimentConfig(mode="bordered", alpha=0.1, g_right=(1.0,),
-                           bordered_half_width=12.0, bordered_h=0.5,
+                           bordered_half_width=12.0, bordered_h=0.25,
                            bordered_R=4.0, output_dir=str(tmp_path))
     assert run(cfg, log=lines.append) == 0
     meta = dict(line.split(" = ") for line in
                 (tmp_path / "core_correction.meta").read_text().splitlines())
-    history = [line.split(" = ")[1] for line in
-               (tmp_path / "manifest.txt").read_text().splitlines()
-               if line.startswith("# history.bordered = ")]
-    assert len(history) == 1
-    steps = history[0].split(",")
-    assert len(steps) == int(meta["iterations"])
-    assert all(re.fullmatch(r"[0-9.e+-]+:[0-9]+", step) for step in steps)
-    rounds = [int(step.split(":")[1]) for step in steps]
-    assert rounds[0] == 0
-    assert f" factorizations={rounds.count(0)} " in lines[-1]
+    assert float(meta["error_h"]) > 0
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    rounds = {}
+    for name in ("bordered", "bordered_2h"):
+        history = [line.split(" = ")[1] for line in manifest
+                   if line.startswith(f"# history.{name} = ")]
+        assert len(history) == 1
+        steps = history[0].split(",")
+        assert all(re.fullmatch(r"[0-9.e+-]+:[0-9]+", step) for step in steps)
+        rounds[name] = [int(step.split(":")[1]) for step in steps]
+        assert rounds[name][0] == 0
+    assert not any(line.startswith("# history.bordered_4h") for line in manifest)
+    assert len(rounds["bordered"]) == int(meta["iterations"])
+    coarse, fine = rounds["bordered_2h"], rounds["bordered"]
+    assert (f" iterations={len(coarse)}+{len(fine)} "
+            f"factorizations={coarse.count(0)}+{fine.count(0)} ") in lines[-1]
 
 
 def test_measured_field_is_steady():

@@ -324,11 +324,15 @@ def test_sheared_operator_holds_only_1d_factors():
 
 @pytest.fixture(scope="module")
 def bordered_small():
+    # h = 0.5 is the coarsest spacing: one level, no nested grids
     p = ModelParams(c_x=0.5)
-    theta = solve_theta(0.5, 20.0, 20.0, h=0.5, dt=0.25, tol=1e-9)
     spec = PartitionSpec(R=8.0)
-    kw = dict(half_width=20.0, h=0.5, theta=theta)
+    kw = dict(half_width=20.0, h=0.5)
     return p, spec, kw
+
+
+#: the shrunken bench config, which runs two levels: h = 0.5, then 0.25
+TWO_LEVELS = dict(spec=PartitionSpec(R=7.0), half_width=14.0, h=0.25)
 
 
 @pytest.fixture(scope="module")
@@ -350,15 +354,16 @@ def test_bordered_symmetric_state(bordered_small, bordered_zero):
     assert cc.weighted_residual < 1e-6
     assert cc.w.data[0, :].max() == 0.0  # zero boundary values
     # the correction reproduces the symmetric state minus the ansatz
+    theta = solve_theta(0.5, 20.0, 20.0, h=0.5, dt=0.25, tol=1e-9)
     X, Y = np.meshgrid(cc.w.x, cc.w.y)
-    w_ref = kw["theta"].data - ansatz_sheared(X, Y, 0.0, _small_profiles(p),
-                                              spec)
+    w_ref = theta.data - ansatz_sheared(X, Y, 0.0, _small_profiles(p), spec)
     inner = np.s_[8:-8, 8:-8]
     assert np.max(np.abs(cc.w.data[inner] - w_ref[inner])) < 0.02
 
 
 def test_bordered_history(bordered_zero):
     cc = bordered_zero
+    assert cc.coarse is None and cc.error_h is None
     assert len(cc.history) == cc.iterations
     _, kkt, step, _, _ = cc.history[-1]
     assert step < _GN_STEP_TOL
@@ -378,10 +383,10 @@ def test_bordered_factor_fill_below_default_order(bordered_small, bordered_zero)
     assert cc.history[-1][3] <= 0.7 * spla.splu(A).nnz
 
 
-def test_bordered_holds_one_factor_at_a_time(bordered_small, monkeypatch):
+def test_bordered_holds_one_factor_at_a_time(monkeypatch):
     # a factor at L = 30, h = 0.25 is about 50 MB: the held one must be gone
-    # before the next one is built; iterations that refine on the held
-    # factor build none
+    # before the next one is built, also the coarse level's before the fine
+    # level's first; iterations that refine on the held factor build none
     live, at_call = [0], []
 
     class Factor:
@@ -397,11 +402,12 @@ def test_bordered_holds_one_factor_at_a_time(bordered_small, monkeypatch):
         return Factor(spla.splu(A, **kw))
 
     monkeypatch.setattr(farfield, "spla", SimpleNamespace(splu=splu))
-    _, spec, kw = bordered_small
-    p = ModelParams(c_x=0.5, g_right=(1.0,), alpha=0.05)
-    cc = solve_bordered(p, spec, **kw)
-    assert len(at_call) == sum(row[4] == 0 for row in cc.history)
-    assert len(at_call) < cc.iterations
+    p = ModelParams(c_x=0.5, g_right=(1.0,), alpha=0.1)
+    cc = solve_bordered(p, **TWO_LEVELS)
+    assert cc.coarse is not None and cc.coarse.coarse is None
+    rows = cc.coarse.history + cc.history
+    assert len(at_call) == sum(row[4] == 0 for row in rows)
+    assert sum(row[4] == 0 for row in cc.history) < cc.iterations
     assert at_call == [0] * len(at_call)
 
 
@@ -435,12 +441,52 @@ def test_bordered_angle_odd_in_alpha(bordered_small):
 
 
 def test_bordered_budget_ends_in_not_converged(monkeypatch):
-    # at L = 14, R = 7 the sixth step is still 6.5e-6 although the weighted
-    # residual (3.8e-10) already meets its target
+    # at L = 14, R = 7 the fine level, started from the h = 0.5 level's
+    # answer, takes its sixth step at 2.2e-7 although the weighted residual
+    # already meets its target
     monkeypatch.setattr(farfield, "_GN_MAX_ITER", 6)
     p = ModelParams(c_x=0.5, alpha=0.1, g_right=(1.0,))
-    with pytest.raises(NotConverged, match="last step 6.5"):
-        solve_bordered(p, PartitionSpec(R=7.0), half_width=14.0, h=0.25)
+    with pytest.raises(NotConverged, match="at h = 0.25: last step 2.2"):
+        solve_bordered(p, **TWO_LEVELS)
+
+
+def test_bordered_coarse_budget_ends_in_not_converged(monkeypatch):
+    # the h = 0.5 level needs 4 steps to reach its loose step tolerance
+    monkeypatch.setattr(farfield, "_GN_MAX_ITER", 3)
+    p = ModelParams(c_x=0.5, alpha=0.1, g_right=(1.0,))
+    with pytest.raises(NotConverged, match="at h = 0.5: last step"):
+        solve_bordered(p, **TWO_LEVELS)
+
+
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_bordered_levels_land_where_one_level_lands(alpha, monkeypatch):
+    # the h = 0.5 level only moves the fine level's start: psi is the one
+    # level's to round-off, on fewer fine factorizations
+    p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
+    nested = solve_bordered(p, **TWO_LEVELS)
+    monkeypatch.setattr(farfield, "_COARSEST_H", 0.25)
+    single = solve_bordered(p, **TWO_LEVELS)
+    assert nested.coarse is not None and single.coarse is None
+    assert nested.psi == pytest.approx(single.psi, rel=1e-11, abs=0.0)
+
+    def factorizations(cc):
+        return sum(row[4] == 0 for row in cc.history)
+
+    assert factorizations(nested) < factorizations(single)
+
+
+def test_bordered_error_bar_is_richardson_on_the_2h_level(tmp_path):
+    # the h = 0.5 level stops at a loose step, yet its psi gives the bar of
+    # a fully converged h = 0.5 solve
+    p = ModelParams(c_x=0.5, alpha=0.1, g_right=(1.0,))
+    fine = solve_bordered(p, **TWO_LEVELS)
+    coarse = solve_bordered(p, **{**TWO_LEVELS, "h": 0.5})
+    want = abs(fine.psi - coarse.psi) / 3.0
+    assert fine.error_h == pytest.approx(want, rel=1e-3)
+    save_correction(fine, str(tmp_path / "core"))
+    meta = dict(line.split(" = ") for line in
+                (tmp_path / "core.meta").read_text().splitlines())
+    assert float(meta["error_h"]) == pytest.approx(fine.error_h, rel=1e-6)
 
 
 def test_bordered_angle_converges_in_h():
@@ -453,8 +499,7 @@ def test_bordered_angle_converges_in_h():
     assert abs(coarse.psi - fine.psi) <= 0.01
 
 
-def test_bordered_slope_matches_selection_integrals(theta_half_mid,
-                                                    theta_half_fine,
+def test_bordered_slope_matches_selection_integrals(theta_half_fine,
                                                     fronts_cx_half):
     from quenchlab.melnikov import build_report
 
@@ -465,8 +510,7 @@ def test_bordered_slope_matches_selection_integrals(theta_half_mid,
     psi = {}
     for alpha in (0.02, -0.02):
         p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
-        cc = solve_bordered(p, spec, half_width=30.0, h=0.25,
-                            theta=theta_half_mid)
+        cc = solve_bordered(p, spec, half_width=30.0, h=0.25)
         psi[alpha] = cc.psi
     slope = (psi[0.02] - psi[-0.02]) / 0.04
     assert abs(slope - report.dphi_dalpha) / report.dphi_dalpha < 0.10
@@ -519,3 +563,4 @@ def test_save_correction_roundtrip(bordered_zero, tmp_path):
     np.testing.assert_array_equal(w.data, cc.w.data)
     meta = (tmp_path / "core.meta").read_text()
     assert "psi = " in meta and "eta = " in meta
+    assert "error_h" not in meta  # one level: no 2h answer to compare with
