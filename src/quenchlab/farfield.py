@@ -452,8 +452,8 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
         cc = _newton(p, spec, profiles, w, psi, step_tol, coarse=cc)
     if not cc.weighted_residual <= _GN_RESIDUAL_TARGET:  # a NaN fails too
         raise NotConverged(
-            f"weighted residual {cc.weighted_residual:.3e} above target "
-            f"{_GN_RESIDUAL_TARGET} after {cc.iterations} iterations")
+            f"at h = {h:g}: weighted residual {cc.weighted_residual:.3e} above "
+            f"target {_GN_RESIDUAL_TARGET} after {cc.iterations} iterations")
     return cc
 
 
