@@ -12,7 +12,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .measure import ContactRecorder
 from .model import ModelParams, side_average, stable_zeros
 from .profiles1d import (Grid1D, angle_from_speed, export_profile,
                          frame_speed, solve_quench_front, solve_traveling_wave)
-from .quench2d import (Field2D, SemiImplicitStepper, export_field_csv,
-                       run_to_steady, solve_comoving_steady, solve_theta,
-                       write_field)
+from .quench2d import (ComovingSteadyState, Field2D, SemiImplicitStepper,
+                       export_field_csv, run_to_steady, solve_comoving_steady,
+                       solve_theta, write_field)
 from .textio import write_entries
 
 OUTPUT_ROOT_ENV = "QUENCHLAB_OUTPUT_ROOT"
@@ -200,8 +200,13 @@ def write_manifest(cfg: ExperimentConfig, path: str, timings: dict,
 
 
 # ---------------------------------------------------------------------------
-# steady-angle measurement (a march, then the comoving steady solve)
+# steady-angle measurement (a march, then the comoving steady solve, on the
+# 2h grid first where it has one)
 # ---------------------------------------------------------------------------
+
+#: the largest spacing of the marched leg's 2h grid
+_MARCH_COARSEST_H = 1.0
+
 
 def _step_initial_data(p: ModelParams, cfg: ExperimentConfig) -> Field2D:
     """Step data on the 2D grid: z_+ above and z_- below y = 0 left of the
@@ -217,6 +222,31 @@ def _step_initial_data(p: ModelParams, cfg: ExperimentConfig) -> Field2D:
         np.where(template.x[None, :] < 0, left[:, None], branches.z_zero))
 
 
+def _march_spacings(cfg: ExperimentConfig, p: ModelParams) -> list[float]:
+    """The marched leg's grid spacings, finest first: h and 2h where every
+    other node of the h grid spans the same rectangle (an even node count
+    per half-width in x and y), 2h is at most _MARCH_COARSEST_H and the 2h
+    stepper's cell Peclet numbers |c_x| 2h and |c_y| 2h stay below 2;
+    h alone otherwise."""
+    h = cfg.grid2d_h
+    even = all(round(width / h) % 2 == 0 for width in
+               (cfg.grid2d_half_width_x, cfg.grid2d_half_width_y))
+    if (even and 2 * h <= _MARCH_COARSEST_H
+            and max(abs(p.c_x), abs(p.c_y)) * 2 * h < 2.0):
+        return [h, 2 * h]
+    return [h]
+
+
+def _march_to_steady(p: ModelParams, cfg: ExperimentConfig) -> ComovingSteadyState:
+    """Step data on the grid2d grid, marched for |measure.window_lo| / c_x
+    at solver.dt, then solved for the comoving steady state."""
+    u0 = _step_initial_data(p, cfg)
+    steps = int(np.ceil(abs(cfg.measure_window_lo) / p.c_x / cfg.solver_dt))
+    marched = run_to_steady(SemiImplicitStepper(u0, p, cfg.solver_dt), u0,
+                            tol=0.0, max_steps=steps)
+    return solve_comoving_steady(marched.field, p, cfg.measure_steady_tol)
+
+
 def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
                          psi_seed: float = 0.0) -> dict:
     """Measure the selected interface angle at the comoving steady state.
@@ -227,19 +257,34 @@ def measure_steady_angle(p: ModelParams, cfg: ExperimentConfig,
     state and its c_y together (quench2d.solve_comoving_steady), and
     returns as psi the angle that relation assigns to the solved c_y: a
     straight interface far left is steady in that frame only there.
-    Raises NotConverged when the steady residual misses measure.steady_tol.
+
+    Where _march_spacings gives a 2h grid, the march and that first solve
+    run there (mesh sequencing, Knoll and Keyes, J. Comput. Phys. 193,
+    2004, section 3), and the h level solves once more from the prolonged
+    2h steady state at its c_y, with no march of its own; psi_2h and
+    error_h = |psi - psi_2h| / 3, the Richardson estimate of psi's O(h^2)
+    error, come from that level (None without one), and history_2h is its
+    Newton history.  field, c_y, drift, update_rate and history are the h
+    level's.  Raises NotConverged when a level's steady residual misses
+    measure.steady_tol.
     """
-    u0 = _step_initial_data(p, cfg)
     c_n = solve_traveling_wave(p, cfg.grid1d()).speed
     p = p.replace(c_y=frame_speed(psi_seed, c_n, p.c_x))
-    steps = int(np.ceil(abs(cfg.measure_window_lo) / p.c_x / cfg.solver_dt))
-    marched = run_to_steady(SemiImplicitStepper(u0, p, cfg.solver_dt), u0,
-                            tol=0.0, max_steps=steps)
-    state = solve_comoving_steady(marched.field, p, cfg.measure_steady_tol)
-    return {"psi": angle_from_speed(state.c_y, c_n, p.c_x),
-            "c_y": state.c_y, "drift": state.drift,
+    spacings = _march_spacings(cfg, p)
+    if len(spacings) == 1:
+        state, coarse = _march_to_steady(p, cfg), None
+    else:
+        coarse = _march_to_steady(p, replace(cfg, grid2d_h=spacings[1]))
+        state = solve_comoving_steady(coarse.field.prolonged(),
+                                      p.replace(c_y=coarse.c_y),
+                                      cfg.measure_steady_tol)
+    psi = angle_from_speed(state.c_y, c_n, p.c_x)
+    psi_2h = None if coarse is None else angle_from_speed(coarse.c_y, c_n, p.c_x)
+    return {"psi": psi, "c_y": state.c_y, "drift": state.drift,
             "field": state.field, "update_rate": state.residual,
-            "history": state.history}
+            "history": state.history, "psi_2h": psi_2h,
+            "error_h": None if coarse is None else abs(psi - psi_2h) / 3.0,
+            "history_2h": None if coarse is None else coarse.history}
 
 
 def _melnikov_report(cfg: ExperimentConfig) -> melnikov.MelnikovReport:
@@ -306,17 +351,22 @@ def _run_melnikov(cfg: ExperimentConfig, out: str, log) -> None:
         f"dphi_dalpha={report.dphi_dalpha:.6f}")
 
 
-def _measure_point(cfg: ExperimentConfig, alpha: float, psi_seed: float):
-    """One sweep point in a worker process; returns no field, only numbers."""
+def _measure_point(cfg: ExperimentConfig, alpha: float, psi_seed: float) -> dict:
+    """One sweep point in a worker process: measure_steady_angle's numbers
+    and histories, without the field, and the point's wall time."""
     t0 = time.perf_counter()
     r = measure_steady_angle(cfg.model_params(alpha=alpha), cfg, psi_seed)
-    return (r["psi"], r["drift"], r["update_rate"], r["history"],
-            time.perf_counter() - t0)
+    del r["field"]
+    r["seconds"] = time.perf_counter() - t0
+    return r
 
 
 def _run_sweep(cfg: ExperimentConfig, out: str, log):
     """The prediction here, then the alpha points in forked workers, one per
-    CPU this process may use; rows and log lines come in alpha order."""
+    CPU this process may use; rows and log lines come in alpha order.  Each
+    point's Newton history goes to the manifest as `sweep_<k>`, and its 2h
+    level's, where one ran, as `sweep_<k>_2h`; the log counts Newton steps
+    per level, coarsest first."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     table = os.path.join(out, "sweep.csv")
@@ -335,15 +385,19 @@ def _run_sweep(cfg: ExperimentConfig, out: str, log):
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
         points = pool.map(_measure_point, [cfg] * len(alphas), alphas, seeds)
-        for k, (alpha, psi_pred, (psi, drift, residual, history, seconds)) \
-                in enumerate(zip(alphas, seeds, points), 1):
+        for k, (alpha, psi_pred, r) in enumerate(zip(alphas, seeds, points), 1):
             with open(table, "a") as fh:
-                fh.write(f"{alpha:.17g},{psi:.17g},{psi_pred:.17g},"
-                         f"{drift:.17g}\n")
-            log(f"  alpha={alpha:+.3f}: psi={psi:+.6f} "
-                f"(predicted {psi_pred:+.6f}) drift={drift:+.2e} "
-                f"residual={residual:.1e} newton_steps={len(history)}")
-            timings[f"sweep_{k}"], histories[f"sweep_{k}"] = seconds, history
+                fh.write(f"{alpha:.17g},{r['psi']:.17g},{psi_pred:.17g},"
+                         f"{r['drift']:.17g}\n")
+            levels = [h for h in (r["history_2h"], r["history"]) if h is not None]
+            error_h = "none" if r["error_h"] is None else f"{r['error_h']:.1e}"
+            log(f"  alpha={alpha:+.3f}: psi={r['psi']:+.6f} "
+                f"(predicted {psi_pred:+.6f}) error_h={error_h} "
+                f"drift={r['drift']:+.2e} residual={r['update_rate']:.1e} "
+                f"newton_steps={'+'.join(str(len(h)) for h in levels)}")
+            timings[f"sweep_{k}"], histories[f"sweep_{k}"] = r["seconds"], r["history"]
+            if r["history_2h"] is not None:
+                histories[f"sweep_{k}_2h"] = r["history_2h"]
     return timings, histories
 
 

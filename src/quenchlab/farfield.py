@@ -390,18 +390,6 @@ def _spacings(half_width: float, h: float) -> list[float]:
     return out
 
 
-def _prolong(coarse: np.ndarray) -> np.ndarray:
-    """Bilinear prolongation to the grid of half the spacing: the shared
-    nodes keep their values, the nodes between take the averages, and a
-    zero boundary stays zero."""
-    ny, nx = coarse.shape
-    fine = np.empty((2 * ny - 1, 2 * nx - 1))
-    fine[::2, ::2] = coarse
-    fine[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    fine[:, 1::2] = 0.5 * (fine[:, :-1:2] + fine[:, 2::2])
-    return fine
-
-
 def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
                    h: float) -> CoreCorrection:
     """Solve the sheared equation for (w, psi) by a bordered Newton iteration.
@@ -445,8 +433,7 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
             w.data[:, 0] = w.data[:, -1] = 0.0
             psi = 0.0
         else:
-            w = Field2D.on_rectangle(half_width, half_width,
-                                     h_level).copy_with(_prolong(cc.w.data))
+            w = cc.w.prolonged()
             psi = cc.psi
         step_tol = _GN_STEP_TOL if h_level == h else _COARSE_STEP_TOL
         cc = _newton(p, spec, profiles, w, psi, step_tol, coarse=cc)

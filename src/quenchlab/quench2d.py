@@ -58,6 +58,18 @@ class Field2D:
         return Field2D(self.nx, self.ny, self.x0, self.y0, self.hx, self.hy,
                        data=np.array(data, dtype=float))
 
+    def prolonged(self) -> "Field2D":
+        """Bilinear prolongation to the grid of half the spacing over the
+        same rectangle: the shared nodes keep their values, the nodes
+        between take the averages, and a zero boundary stays zero."""
+        c = self.data
+        fine = np.empty((2 * self.ny - 1, 2 * self.nx - 1))
+        fine[::2, ::2] = c
+        fine[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
+        fine[:, 1::2] = 0.5 * (fine[:, :-1:2] + fine[:, 2::2])
+        return Field2D(2 * self.nx - 1, 2 * self.ny - 1, self.x0, self.y0,
+                       self.hx / 2, self.hy / 2, data=fine)
+
     @classmethod
     def on_rectangle(cls, half_width_x: float, half_width_y: float, h: float) -> "Field2D":
         """Zero field on [-Lx, Lx] x [-Ly, Ly]; x = 0 and y = 0 land on nodes."""
@@ -263,7 +275,7 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
     while res > tol:
         if len(history) == _NK_MAX_ITER:
             raise NotConverged(f"steady residual {res:.2e} > {tol} after "
-                               f"{_NK_MAX_ITER} Newton steps")
+                               f"{_NK_MAX_ITER} Newton steps at h = {hx:g}")
         # dPhi/du v = solve(v + dt R'(u) v), R' tridiagonal along x.  Its sub
         # diagonal is -sup shifted by one, as R sees its x-neighbours only
         # through the centered u_x, so R' acts on their difference; that
@@ -297,7 +309,7 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
                 break
         else:
             raise NotConverged(f"{_NK_MAX_HALVINGS} halvings of a Newton step "
-                               "did not lower the residual")
+                               f"did not lower the residual at h = {hx:g}")
         u, c_y, merit = u + step * du, c_y + step * dc, trial
         history.append((float(res), len(iterations)))
     u_y = (u[j0 + 1, i0] - u[j0 - 1, i0]) / (2.0 * hy)

@@ -9,12 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
-from quenchlab import quench2d
+from quenchlab import cli, quench2d
 from quenchlab.cli import (ExperimentConfig, apply_setting, compare_prediction,
                            main, measure_steady_angle, parse_config, run,
                            write_manifest)
-from quenchlab.errors import ConfigError, MissingBaseline, NotConverged
-from quenchlab.quench2d import SemiImplicitStepper
+from quenchlab.errors import (ConfigError, LinearSolveFailure, MissingBaseline,
+                              NotConverged)
+from quenchlab.model import ModelParams
+from quenchlab.profiles1d import angle_from_speed, frame_speed, solve_traveling_wave
+from quenchlab.quench2d import (Field2D, SemiImplicitStepper, run_to_steady,
+                                solve_comoving_steady)
 
 
 def test_apply_setting_types():
@@ -311,11 +315,12 @@ def _small_sweep_config(**kw) -> ExperimentConfig:
 
 
 def test_measurement_reports_convergence(tmp_path, monkeypatch, capsys):
-    # one Newton step does not reach measure.steady_tol: a typed failure,
-    # and the sweep exits 1 instead of writing an unsteady angle
+    # one Newton step does not reach measure.steady_tol: a typed failure
+    # that names the level, the 2h grid's h = 1 failing first, and the
+    # sweep exits 1 instead of writing an unsteady angle
     monkeypatch.setattr(quench2d, "_NK_MAX_ITER", 1)
     cfg = _small_sweep_config(g_right=(1.0,))
-    with pytest.raises(NotConverged, match="after 1 Newton steps"):
+    with pytest.raises(NotConverged, match="after 1 Newton steps at h = 1$"):
         measure_steady_angle(cfg.model_params(alpha=0.02), cfg, psi_seed=0.034)
     # two workers: one fails while the other still runs; the parent re-raises
     # the worker's NotConverged and joins both before main returns
@@ -323,15 +328,18 @@ def test_measurement_reports_convergence(tmp_path, monkeypatch, capsys):
                  "--set", "sweep.alphas=-0.02,0.02"] + _SMALL_SWEEP) == 1
     err = capsys.readouterr().err
     assert "quenchlab: error: steady residual" in err and "Traceback" not in err
+    assert "Newton steps at h = 1\n" in err
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_workers_match_in_process_points(tmp_path):
     # the points measured in worker processes equal, bit for bit, the same
-    # measurements in this process; the manifest keeps each point's record
+    # measurements in this process; the manifest keeps each point's record,
+    # one Newton history per grid level, and the log counts both levels
     cfg = _small_sweep_config(g_right=(1.0,), sweep_alphas=(-0.02, 0.02),
                               output_dir=str(tmp_path))
-    assert run(cfg, log=lambda *a: None) == 0
+    log = []
+    assert run(cfg, log=log.append) == 0
     assert multiprocessing.active_children() == []
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
@@ -345,10 +353,82 @@ def test_sweep_workers_match_in_process_points(tmp_path):
     assert "# timing.prediction_s" in {line.split(" = ")[0] for line in lines}
     for k in (1, 2):
         assert sum(line.startswith(f"# timing.sweep_{k}_s = ") for line in lines) == 1
-        history = [line for line in lines if line.startswith(f"# history.sweep_{k} = ")]
-        assert len(history) == 1
-        assert all(re.fullmatch(r"[0-9.e+-]+:[0-9]+", step)
-                   for step in history[0].split(" = ")[1].split(","))
+        steps = []
+        for name in (f"sweep_{k}_2h", f"sweep_{k}"):
+            history = [line for line in lines if line.startswith(f"# history.{name} = ")]
+            assert len(history) == 1
+            steps.append(history[0].split(" = ")[1].split(","))
+            assert all(re.fullmatch(r"[0-9.e+-]+:[0-9]+", step) for step in steps[-1])
+        point = [line for line in log if line.startswith("  alpha=")][k - 1]
+        assert re.search(r" error_h=[0-9.]+e-[0-9]+ ", point)
+        assert point.endswith(f" newton_steps={len(steps[0])}+{len(steps[1])}")
+
+
+def test_marched_levels_land_where_one_level_lands():
+    # the 2h level only moves the h level's start: psi is the one fine
+    # level's, march and steady solve at h, up to the steady stop's slack,
+    # and the +-alpha points stay mirror images
+    cfg = _small_sweep_config(g_right=(1.0,))
+    psi = {}
+    for alpha in (0.02, -0.02):
+        p = cfg.model_params(alpha=alpha)
+        seed = 1.7 * alpha
+        r = measure_steady_angle(p, cfg, psi_seed=seed)
+        assert r["history_2h"] and r["error_h"] == abs(r["psi"] - r["psi_2h"]) / 3.0
+        c_n = solve_traveling_wave(p, cfg.grid1d()).speed
+        p = p.replace(c_y=frame_speed(seed, c_n, p.c_x))
+        u0 = cli._step_initial_data(p, cfg)
+        steps = int(np.ceil(abs(cfg.measure_window_lo) / p.c_x / cfg.solver_dt))
+        marched = run_to_steady(SemiImplicitStepper(u0, p, cfg.solver_dt), u0,
+                                tol=0.0, max_steps=steps)
+        single = solve_comoving_steady(marched.field, p, cfg.measure_steady_tol)
+        assert r["psi"] == pytest.approx(angle_from_speed(single.c_y, c_n, p.c_x),
+                                         rel=1e-6, abs=0.0)
+        psi[alpha] = r["psi"]
+    assert abs(psi[0.02] + psi[-0.02]) <= 1e-10
+
+
+@pytest.mark.parametrize("settings, c_y, want", [
+    ({}, 0.0, [0.5, 1.0]),
+    ({"grid2d_h": 0.25}, 0.0, [0.25, 0.5]),
+    # 24.5 / 0.5 = 49 nodes per half-width: no 2h grid spans the same box
+    ({"grid2d_half_width_x": 24.5}, 0.0, [0.5]),
+    ({"grid2d_half_width_y": 24.5}, 0.0, [0.5]),
+    # 2h = 1.5 is coarser than the coarsest marched grid
+    ({"grid2d_h": 0.75}, 0.0, [0.75]),
+    # cell Peclet numbers below 2 at h, not at 2h
+    ({"c_x": 2.5}, 0.0, [0.5]),
+    ({}, -2.5, [0.5]),
+])
+def test_march_spacings_stop_at_odd_count_coarsest_or_peclet(settings, c_y, want):
+    cfg = dataclasses.replace(ExperimentConfig(
+        grid2d_half_width_x=24.0, grid2d_half_width_y=24.0, grid2d_h=0.5), **settings)
+    assert cli._march_spacings(cfg, cfg.model_params().replace(c_y=c_y)) == want
+
+
+def test_march_spacings_keep_the_2h_stepper_inside_its_peclet_guard():
+    # c_x = 2.5 marches at h = 0.5 today; its 2h stepper would raise
+    p = ModelParams(c_x=2.5)
+    SemiImplicitStepper(Field2D.on_rectangle(4.0, 4.0, 0.5), p, 0.25)
+    with pytest.raises(LinearSolveFailure, match="cell Peclet"):
+        SemiImplicitStepper(Field2D.on_rectangle(4.0, 4.0, 1.0), p, 0.25)
+
+
+def test_odd_node_count_sweeps_one_level(tmp_path):
+    # 24.5 / 0.5 = 49 nodes per half-width: today's single level, with no
+    # error bar and no 2h history
+    cfg = dataclasses.replace(
+        _small_sweep_config(g_right=(1.0,), sweep_alphas=(0.02,),
+                            output_dir=str(tmp_path)),
+        grid2d_half_width_x=24.5, grid2d_half_width_y=24.5)
+    log = []
+    assert run(cfg, log=log.append) == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert sum(line.startswith("# history.sweep_1 = ") for line in lines) == 1
+    assert not any(line.startswith("# history.sweep_1_2h") for line in lines)
+    point = [line for line in log if line.startswith("  alpha=")][0]
+    assert " error_h=none " in point
+    assert re.search(r" newton_steps=[0-9]+$", point)
 
 
 def test_bordered_manifest_records_refinement_history(tmp_path):

@@ -332,18 +332,6 @@ def test_bordered_spacings_stop_at_coarsest_or_odd_count(half_width, h, want):
     assert farfield._spacings(half_width, h) == want
 
 
-def test_prolong_is_exact_on_bilinear_fields():
-    c = Field2D.on_rectangle(3.0, 2.0, 0.5)
-    f = Field2D.on_rectangle(3.0, 2.0, 0.25)
-
-    def bilinear(g):
-        return (1.0 + 0.3 * g.x - 0.7 * g.y[:, None]
-                + 0.2 * g.x * g.y[:, None]) * np.ones((g.ny, g.nx))
-
-    np.testing.assert_allclose(farfield._prolong(bilinear(c)), bilinear(f),
-                               rtol=0.0, atol=1e-14)
-
-
 @pytest.fixture(scope="module")
 def bordered_small():
     # h = 0.5 is the coarsest spacing: one level, no nested grids

@@ -29,6 +29,22 @@ def test_field_geometry():
     assert origin_index(f.x + 0.1) is None
 
 
+def test_prolong_is_exact_on_bilinear_fields():
+    # the grid of half the spacing over the same rectangle, and a bilinear
+    # field on it to round-off
+    c = Field2D.on_rectangle(3.0, 2.0, 0.5)
+    f = Field2D.on_rectangle(3.0, 2.0, 0.25)
+
+    def bilinear(g):
+        return (1.0 + 0.3 * g.x - 0.7 * g.y[:, None]
+                + 0.2 * g.x * g.y[:, None]) * np.ones((g.ny, g.nx))
+
+    fine = c.copy_with(bilinear(c)).prolonged()
+    assert (fine.nx, fine.ny, fine.x0, fine.y0, fine.hx, fine.hy) == \
+        (f.nx, f.ny, f.x0, f.y0, f.hx, f.hy)
+    np.testing.assert_allclose(fine.data, bilinear(f), rtol=0.0, atol=1e-14)
+
+
 def test_zero_is_fixed_point():
     f = Field2D.on_rectangle(5.0, 5.0, 0.5)
     out = SemiImplicitStepper(f, ModelParams(c_x=0.5), dt=0.2).step(f.data)
