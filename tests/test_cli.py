@@ -407,7 +407,8 @@ def test_march_spacings_stop_at_odd_count_coarsest_or_peclet(settings, c_y, want
 
 
 def test_march_spacings_keep_the_2h_stepper_inside_its_peclet_guard():
-    # c_x = 2.5 marches at h = 0.5 today; its 2h stepper would raise
+    # c_x = 2.5 marches at h = 0.5, but a 2h stepper would raise: the
+    # rule above keeps such a config on one level
     p = ModelParams(c_x=2.5)
     SemiImplicitStepper(Field2D.on_rectangle(4.0, 4.0, 0.5), p, 0.25)
     with pytest.raises(LinearSolveFailure, match="cell Peclet"):
@@ -415,8 +416,8 @@ def test_march_spacings_keep_the_2h_stepper_inside_its_peclet_guard():
 
 
 def test_odd_node_count_sweeps_one_level(tmp_path):
-    # 24.5 / 0.5 = 49 nodes per half-width: today's single level, with no
-    # error bar and no 2h history
+    # 24.5 / 0.5 = 49 nodes per half-width: one level, with no error bar
+    # and no 2h history
     cfg = dataclasses.replace(
         _small_sweep_config(g_right=(1.0,), sweep_alphas=(0.02,),
                             output_dir=str(tmp_path)),
