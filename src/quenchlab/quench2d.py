@@ -80,7 +80,8 @@ class Field2D:
 
 @dataclass
 class SteadyResult:
-    """Outcome of run_to_steady: final field plus an honest convergence record."""
+    """Outcome of a march to steady state (run_to_steady, or the extrapolated
+    march of solve_theta): final field plus an honest convergence record."""
 
     field: Field2D
     steps: int
@@ -318,6 +319,46 @@ def solve_comoving_steady(u0: Field2D, p: ModelParams,
                                float(drift), history)
 
 
+#: largest jump factor rho / (1 - rho) of the extrapolated march; uncapped,
+#: a jump taken while a faster mode lingers can leave the bistable range
+#: (measured at c_x = 2 and 4, where the plain march converges)
+_JUMP_CAP = 3.0
+#: the largest relative move of rho between two steps at which a jump is taken
+_RHO_SETTLED = 0.05
+
+
+def _march_extrapolated(stepper: SemiImplicitStepper, u0: Field2D, tol: float,
+                        max_steps: int) -> SteadyResult:
+    """run_to_steady, with each update extrapolated along the slowest mode.
+
+    A step maps u to g = Phi(u) with update f = g - u and stops, as
+    run_to_steady does, once max|f| / dt < tol, returning that g.  Otherwise
+    rho = <f, f_prev> / |f_prev|^2 estimates the ratio by which the updates
+    shrink; once it lies in (0, 1) and moved by at most _RHO_SETTLED since
+    the last step, the next step starts from g + min(rho / (1 - rho),
+    _JUMP_CAP) f, the sum of the geometric tail of updates (vector Aitken
+    extrapolation; Brezinski and Redivo-Zaglia 1991).  u0.data is overwritten.
+    """
+    # f_prev lives in u0's buffer, which the caller holds anyway
+    u = f_prev = u0.data
+    rate, steps, rho_prev = np.inf, 0, np.nan
+    while rate >= tol and steps < max_steps:
+        g = stepper.step(u)
+        f = np.subtract(g, u, out=u)
+        rate = float(max(f.max(), -f.min())) / stepper.dt
+        steps += 1
+        if rate >= tol and steps > 1:
+            rho = np.vdot(f, f_prev) / np.vdot(f_prev, f_prev)
+            if 0.0 < rho < 1.0 and abs(rho - rho_prev) <= _RHO_SETTLED * rho_prev:
+                g += min(rho / (1.0 - rho), _JUMP_CAP) * f
+            rho_prev = rho
+        f_prev[...] = f
+        del f                     # frees the last u, f's buffer, once u is rebound
+        u = g
+    return SteadyResult(field=u0.copy_with(u), steps=steps,
+                        final_update_rate=rate, converged=rate < tol)
+
+
 def solve_theta(c_x: float, half_width_x: float, half_width_y: float, h: float,
                 dt: float, tol: float, max_steps: int = 20000) -> Field2D:
     """Symmetric perpendicular-contact steady state at alpha = 0, c_y = 0.
@@ -325,15 +366,18 @@ def solve_theta(c_x: float, half_width_x: float, half_width_y: float, h: float,
     Marches step data (1 for x < 0, 0 beyond) on the rows y > 0 alone, with
     u = 0 on the y = 0 row, to steady state, then mirrors it: the result
     satisfies u(x, y) = -u(x, -y) exactly, its y = 0 row is +0.0 and its
-    zero level set is the x-axis.
+    zero level set is the x-axis.  The march extrapolates its updates along
+    their slowest mode, by at most _JUMP_CAP times the last update, and
+    stops on run_to_steady's test: the update rate of a plain step below
+    tol, else NotConverged after max_steps steps.
     """
     p = ModelParams(c_x=c_x)
     full = Field2D.on_rectangle(half_width_x, half_width_y, h)
     m = full.ny // 2
     u0 = Field2D(full.nx, m, full.x0, full.hy, full.hx, full.hy,
                  data=np.tile(full.x < 0, (m, 1)))
-    result = run_to_steady(SemiImplicitStepper(u0, p, dt, odd_y=True), u0,
-                           tol=tol, max_steps=max_steps)
+    result = _march_extrapolated(SemiImplicitStepper(u0, p, dt, odd_y=True), u0,
+                                 tol=tol, max_steps=max_steps)
     if not result.converged:
         raise NotConverged(
             f"update rate {result.final_update_rate:.2e} > {tol} after {result.steps} steps")
@@ -367,10 +411,9 @@ def read_field(path: str) -> Field2D:
 def export_field_csv(u: Field2D, path: str):
     """Plain CSV (x, y, u) for plotting, written one grid row at a time so
     that no more than a row of text is held in memory."""
-    xs = [f"{x:.17g}," for x in u.x.tolist()]
+    # one "%" template per row: the x column fixed, "\0" where y goes
+    row_format = "".join(f"{x:.17g},\0,%.17g\n" for x in u.x.tolist())
     with open(path, "w") as fh:
         fh.write("x,y,u\n")
         for y, row in zip(u.y.tolist(), u.data):
-            y_str = f"{y:.17g},"
-            fh.write("".join(f"{x}{y_str}{v:.17g}\n"
-                             for x, v in zip(xs, row.tolist())))
+            fh.write(row_format.replace("\0", f"{y:.17g}") % tuple(row.tolist()))

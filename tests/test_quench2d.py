@@ -171,19 +171,56 @@ def _odd_full_grid_march(c_x, half_x, half_y, h, dt, tol):
     raise AssertionError("reference march did not converge")
 
 
+def _half_grid_start(c_x, half_x, half_y, h, dt):
+    """solve_theta's start: step data on the rows y > 0, and its odd_y stepper."""
+    full = Field2D.on_rectangle(half_x, half_y, h)
+    m = full.ny // 2
+    u0 = Field2D(full.nx, m, full.x0, full.hy, full.hx, full.hy,
+                 data=np.tile(full.x < 0, (m, 1)))
+    return SemiImplicitStepper(u0, ModelParams(c_x=c_x), dt, odd_y=True), u0
+
+
+def _mirrored(u):
+    """The full grid's odd field from its rows y > 0."""
+    return np.concatenate([0.0 - u[::-1], np.zeros((1, u.shape[1])), u])
+
+
 @pytest.mark.parametrize("half_y", [10.0, 0.5])  # 0.5 = h: one unknown row
 def test_half_grid_theta_matches_full_grid_march(half_y):
     h, dt, tol = 0.5, 0.25, 1e-9
     want, steps = _odd_full_grid_march(0.5, 10.0, half_y, h, dt, tol)
-    th = solve_theta(0.5, 10.0, half_y, h=h, dt=dt, tol=tol, max_steps=steps)
-    with pytest.raises(NotConverged):  # not one step fewer
-        solve_theta(0.5, 10.0, half_y, h=h, dt=dt, tol=tol, max_steps=steps - 1)
+    # the half-grid reduction: the odd_y march is the full-grid march, step
+    # for step
+    half = run_to_steady(*_half_grid_start(0.5, 10.0, half_y, h, dt), tol=tol)
+    assert half.converged and half.steps == steps
+    march = _mirrored(half.field.data)
+    assert march.shape == want.shape
+    assert np.max(np.abs(march - want)) <= 1e-12
+    # solve_theta extrapolates that march: it lands within tol of it, and
+    # not one step before its own count
+    own = quench2d._march_extrapolated(*_half_grid_start(0.5, 10.0, half_y, h, dt),
+                                       tol=tol, max_steps=steps).steps
+    th = solve_theta(0.5, 10.0, half_y, h=h, dt=dt, tol=tol, max_steps=own)
+    with pytest.raises(NotConverged):
+        solve_theta(0.5, 10.0, half_y, h=h, dt=dt, tol=tol, max_steps=own - 1)
     u = th.data
-    assert u.shape == want.shape
-    assert np.max(np.abs(u - want)) <= 1e-12
+    assert np.max(np.abs(u - march)) <= tol
     assert np.all(u + u[::-1] == 0.0)
     assert not np.signbit(u[u == 0.0]).any()  # no -0.0, the y = 0 row included
     assert np.all(u[th.ny // 2] == 0.0)
+
+
+@pytest.mark.parametrize("c_x", [0.0, 0.5, 1.0, 2.0, 4.0])
+def test_extrapolated_theta_lands_on_the_plain_march(c_x):
+    # uncapped jumps leave the bistable range at c_x = 2 and 4 on this box
+    half, h, dt, tol = 8.0, 0.25, 0.25, 1e-9
+    plain = run_to_steady(*_half_grid_start(c_x, half, half, h, dt), tol=tol)
+    assert plain.converged
+    th = solve_theta(c_x, half, half, h=h, dt=dt, tol=tol, max_steps=plain.steps)
+    assert np.max(np.abs(th.data - _mirrored(plain.field.data))) <= 10 * tol
+    if c_x == 0.5:  # the extrapolation is on: 42 steps against 95
+        solve_theta(c_x, half, half, h=h, dt=dt, tol=tol,
+                    max_steps=int(0.6 * plain.steps))
 
 
 @pytest.mark.parametrize("kw", [{"c_y": 0.1}, {"alpha": 0.1}])
