@@ -11,6 +11,7 @@ Newton iteration drives to zero at the least weighted norm of w.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -351,32 +352,70 @@ _COARSE_STEP_TOL = 1e-3
 
 #: refinement on a held factor: the rounds it may take, the relative size
 #: of a first correction that marks the factor as stale, and the relative
-#: size above which a correction that has stopped shrinking is a stall
+#: size of a correction that ends it
 _REFINE_ROUNDS = 12
 _REFINE_STALE = 0.1
-_REFINE_STALL = 1e-8
+_REFINE_TOL = 1e-12
 
 
-def _refine(lu, A, rhs, x):
-    """Iterative refinement of x, solved on lu, against A x = rhs.
+def _refine(solve, apply, rhs, x):
+    """Iterative refinement of x against apply(x) = rhs, each correction
+    solved by solve, the inverse of an earlier matrix.
 
-    lu factors an earlier Jacobian.  Returns the rounds taken, or 0 when
-    the first correction is large, the corrections stall above
-    _REFINE_STALL, a value is not finite or the rounds run out: then lu
-    must be replaced.
+    Returns the rounds taken once a correction falls to _REFINE_TOL
+    relative, or 0 when the first correction is large, the corrections
+    stop halving above _REFINE_TOL, a value is not finite or the rounds
+    run out: then the earlier matrix must be factored anew.
     """
     last = np.inf
     for rounds in range(1, _REFINE_ROUNDS + 1):
-        dx = lu.solve(rhs - A @ x)
+        dx = solve(rhs - apply(x))
         x += dx
         size = float(np.max(np.linalg.norm(dx, axis=0)
                             / np.linalg.norm(x, axis=0)))
         if not np.isfinite(size) or rounds == 1 and size > _REFINE_STALE:
             return 0
-        if size >= last / 2:  # no longer shrinking: round-off, or a stall
-            return rounds if size <= _REFINE_STALL else 0
+        if size <= _REFINE_TOL:
+            return rounds
+        if size >= last / 2:  # no longer shrinking: a stall
+            return 0
         last = size
     return 0
+
+
+class _BorderedFactor:
+    """The inverse of the bordered matrix M = [A, F_psi; l^T, 0], applied
+    by block elimination on an LU factor of A.
+
+    l = W^2 z / |W z|^2 with z = A^-1 F_psi, so l^T z = 1, and the solve of
+    M [x; s] = [r; rho] is y = A^-1 r, s = l^T y - rho, x = y - s z.  A is
+    nearly singular on the Dirichlet box (|z| is about 1e8 at L = 30) and
+    M is not, so solves on this factor refine to round-off against a later
+    M, the same l bordering a later A and F_psi (matvec).
+    """
+
+    def __init__(self, A, fpsi, weight):
+        try:
+            # A's stored pattern is the symmetric 9-point stencil, so
+            # minimum degree on A^T + A orders it with about half the
+            # fill of the default COLAMD on A^T A
+            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise IllConditioned(f"Jacobian factorization failed: {exc}") from exc
+        self.z = self.lu.solve(fpsi)
+        wz = weight * self.z
+        self.ell = weight * wz / (wz @ wz)
+
+    def solve(self, rhs):
+        """M^-1 rhs, the columns of rhs stacked as [r; rho]."""
+        y = self.lu.solve(rhs[:-1])
+        s = self.ell @ y - rhs[-1]
+        return np.vstack([y - np.outer(self.z, s), s])
+
+    def matvec(self, A, fpsi, x):
+        """[A, F_psi; l^T, 0] x for the given A and F_psi."""
+        return np.vstack([A @ x[:-1] + np.outer(fpsi, x[-1]),
+                          self.ell @ x[:-1]])
 
 
 def _spacings(half_width: float, h: float) -> list[float]:
@@ -397,13 +436,19 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
     On the Dirichlet box the Jacobian A in w is invertible, so F = 0 has a
     solution w for every psi; the angle is the one whose solution is most
     localized, the least |e^{eta(|x|+|y|)} w| with eta = min(c_x, 1)/4.
-    Each iteration solves A a = -F and A b = dF/dpsi and steps to
-    w + a - dpsi b with dpsi minimizing the weighted norm of that new w.
-    The solves run on the LU factor an earlier iteration made, refined
-    against the current A (chord Newton with refinement); A is factored
-    anew on the first iteration and whenever that refinement starts with a
-    large correction or stalls (_refine), so a and b always solve the
-    current A.
+    Each iteration steps to w + a - dpsi b, where A a = -F, A b = F_psi and
+    dpsi minimizes the weighted norm of that new w.  A is nearly singular
+    on the box (|b| is about 1e8 at L = 30), so the step is taken from the
+    bordered matrix M = [A, F_psi; l^T, 0], which is not (Keller's
+    bordering; Govaerts, *Numerical Methods for Bifurcations of Dynamical
+    Equilibria*, SIAM 2000, ch. 3): M [p; s_p] = [-F; 0] and
+    M [q; s_q] = [0; 1] span the same line, w + p + tau q at
+    psi + s_p + tau s_q, for any l with l^T b != 0, and tau minimizes the
+    weighted norm on it.  M is solved on the LU factor of A that an earlier
+    iteration made (_BorderedFactor), refined against the current M (chord
+    Newton with refinement); A is factored anew on the first iteration and
+    whenever that refinement starts with a large correction or stalls
+    (_refine), so p and q always solve the current M.
 
     The iteration runs on nested grids of spacings h, 2h, ... (_spacings),
     coarsest first (nested iteration, Briggs, Henson and McCormick, *A
@@ -450,11 +495,11 @@ def _newton(p: ModelParams, spec: PartitionSpec, profiles: FarfieldProfiles,
     """The bordered Newton iteration of solve_bordered on w's grid, from
     (w, psi), until a max-norm step falls below step_tol."""
     eta = min(p.c_x, 1.0) / 4.0
-    x, y, h = w.x, w.y[:, None], w.hx
+    h = w.hx
     op = ShearedOperator(w, p)
-    weight = np.exp(eta * (np.abs(x) + np.abs(y)))[1:-1, 1:-1].ravel()
+    weight = np.exp(eta * (np.abs(w.x) + np.abs(w.y[:, None])))[1:-1, 1:-1].ravel()
     history = []
-    lu = None
+    held = None
 
     def weighted_norm(res):
         return float(np.linalg.norm(weight * res.ravel()) * h)
@@ -467,36 +512,36 @@ def _newton(p: ModelParams, spec: PartitionSpec, profiles: FarfieldProfiles,
         rp, _ = residual_F(w, psi + _GN_FD_PSI, spec, profiles, op)
         rm, _ = residual_F(w, psi - _GN_FD_PSI, spec, profiles, op)
         A = op.jacobian(v, psi, profiles.c_y(psi))
-        rhs = np.column_stack([-r.ravel(), (rp - rm).ravel() / (2 * _GN_FD_PSI)])
+        fpsi = (rp - rm).ravel() / (2 * _GN_FD_PSI)
+        rhs = np.zeros((fpsi.size + 1, 2))
+        rhs[:-1, 0] = -r.ravel()
+        rhs[-1, 1] = 1.0
         rounds = 0
-        if lu is not None:
-            ab = lu.solve(rhs)
-            rounds = _refine(lu, A, rhs, ab)
+        if held is not None:
+            x = held.solve(rhs)
+            rounds = _refine(held.solve, partial(held.matvec, A, fpsi), rhs, x)
         if not rounds:
             # drop the held factor (about 50 MB at L = 30, h = 0.25) before
             # the next is built, so that one factor at a time is resident
-            lu = None
-            try:
-                # A's stored pattern is the symmetric 9-point stencil, so
-                # minimum degree on A^T + A orders it with about half the
-                # fill of the default COLAMD on A^T A
-                lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise IllConditioned(f"Jacobian factorization failed: {exc}") from exc
-            ab = lu.solve(rhs)
-        a, b = ab.T
-        wb = weight * b
-        bb = float(wb @ wb)
-        if not np.isfinite(bb) or bb == 0.0:
-            raise IllConditioned(f"angle direction degenerate (|W b|^2 = {bb:.3e})")
+            held = None
+            held = _BorderedFactor(A, fpsi, weight)
+            x = held.solve(rhs)
+        # the columns [pw; s_p] and [qw; s_q]
+        (pw, qw), (s_p, s_q) = x[:-1].T, x[-1]
+        wq = weight * qw
+        qq = float(wq @ wq)
+        if not np.isfinite(qq) or qq == 0.0:
+            raise IllConditioned(f"angle direction degenerate (|W q|^2 = {qq:.3e})")
         ww = weight * w.data[1:-1, 1:-1].ravel()
-        kkt = abs(float(ww @ wb)) / (np.linalg.norm(ww) * np.sqrt(bb))
-        dpsi = float((ww + weight * a) @ wb) / bb
-        dw = (a - dpsi * b).reshape(op.shape)
+        kkt = abs(float(ww @ wq)) / (np.linalg.norm(ww) * np.sqrt(qq))
+        tau = -float((ww + weight * pw) @ wq) / qq
+        dw = (pw + tau * qw).reshape(op.shape)
+        dpsi = float(s_p + tau * s_q)
         w.data[1:-1, 1:-1] += dw
         psi += dpsi
         step = max(np.abs(dw).max(), abs(dpsi))
-        history.append((weighted_norm(r), kkt, float(step), lu.nnz, rounds))
+        history.append((weighted_norm(r), kkt, float(step), held.lu.nnz,
+                        rounds))
         if step < step_tol:
             break
     else:

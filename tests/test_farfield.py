@@ -1,9 +1,11 @@
 import itertools
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from oracles import elliptic_residual, shear_map
 
@@ -483,6 +485,83 @@ def test_bordered_levels_land_where_one_level_lands(alpha, monkeypatch):
         return sum(row[4] == 0 for row in cc.history)
 
     assert factorizations(nested) < factorizations(single)
+
+
+@pytest.fixture(scope="module")
+def two_levels():
+    p = ModelParams(c_x=0.5, alpha=0.1, g_right=(1.0,))
+    return p, solve_bordered(p, **TWO_LEVELS)
+
+
+def test_bordered_factorizations_at_two_levels(two_levels):
+    # solves on the bordered matrix refine to round-off on a held factor:
+    # the h = 0.5 level factors 3 times in 4 iterations and the fine level
+    # once in 8 (4 and 4 where the refinement ran against A alone)
+    _, cc = two_levels
+    levels = (cc.coarse, cc)
+    assert [level.iterations for level in levels] == [4, 8]
+    assert [sum(row[4] == 0 for row in level.history)
+            for level in levels] == [3, 1]
+
+
+def _linearization(op, w, psi, p, profiles):
+    """F, A and F_psi at (w, psi), as one bordered Newton iteration forms them."""
+    r, v = residual_F(w, psi, TWO_LEVELS["spec"], profiles, op)
+    d = farfield._GN_FD_PSI
+    rp, _ = residual_F(w, psi + d, TWO_LEVELS["spec"], profiles, op)
+    rm, _ = residual_F(w, psi - d, TWO_LEVELS["spec"], profiles, op)
+    A = op.jacobian(v, psi, profiles.c_y(psi))
+    return r.ravel(), A, (rp - rm).ravel() / (2 * d)
+
+
+def test_bordered_solve_on_a_held_factor(two_levels):
+    # factor A at the fine level's start, step once with fresh solves, and
+    # solve the next iterate's bordered system by refinement on that factor
+    p, cc = two_levels
+    L = TWO_LEVELS["half_width"]
+    profiles = build_profiles(p, Grid1D.symmetric(L, 0.02),
+                              Grid1D.symmetric(1.6 * L, 0.02))
+    w0, psi0 = cc.coarse.w.prolonged(), cc.coarse.psi
+    op = ShearedOperator(w0, p)
+    eta = min(p.c_x, 1.0) / 4.0
+    weight = np.exp(eta * (np.abs(w0.x) + np.abs(w0.y[:, None])))[1:-1, 1:-1].ravel()
+    r0, A0, fpsi0 = _linearization(op, w0, psi0, p, profiles)
+    a, b = spla.splu(A0).solve(np.column_stack([-r0, fpsi0])).T
+    wb = weight * b
+    dpsi = float((weight * (w0.data[1:-1, 1:-1].ravel() + a)) @ wb) / (wb @ wb)
+    w1 = w0.copy_with(w0.data.copy())
+    w1.data[1:-1, 1:-1] += (a - dpsi * b).reshape(op.shape)
+    psi1 = psi0 + dpsi
+    r1, A1, fpsi1 = _linearization(op, w1, psi1, p, profiles)
+    rhs = np.zeros((r1.size + 1, 2))
+    rhs[:-1, 0], rhs[-1, 1] = -r1, 1.0
+
+    held = farfield._BorderedFactor(A0, fpsi0, weight)
+    x = held.solve(rhs)
+    assert farfield._refine(held.solve, partial(held.matvec, A1, fpsi1), rhs, x) > 0
+    M = sp.bmat([[A1, fpsi1[:, None]], [held.ell[None, :], None]], format="csc")
+    want = spla.spsolve(M, rhs)
+    assert np.all(np.linalg.norm(x - want, axis=0)
+                  <= 1e-12 * np.linalg.norm(want, axis=0))
+
+    # the step p + tau q is the least-squares step of fresh solves of A;
+    # it cancels in p + tau q, so even spsolve's solution of M gives a
+    # step 2e-12 away, relative
+    (pw, qw), (s_p, s_q) = x[:-1].T, x[-1]
+    a, b = spla.splu(A1).solve(np.column_stack([-r1, fpsi1])).T
+    ww, wb, wq = (weight * f for f in (w1.data[1:-1, 1:-1].ravel(), b, qw))
+    dpsi = float((ww + weight * a) @ wb) / (wb @ wb)
+    tau = -float((ww + weight * pw) @ wq) / (wq @ wq)
+    dw = a - dpsi * b
+    assert np.abs(pw + tau * qw - dw).max() <= 1e-11 * np.abs(dw).max()
+    assert s_p + tau * s_q == pytest.approx(dpsi, rel=1e-11)
+
+    # a fresh factor's bordered solve refines to round-off too, where
+    # refinement against A alone floored at 3e-9 at L = 30
+    fresh = farfield._BorderedFactor(A1, fpsi1, weight)
+    x = fresh.solve(rhs)
+    assert farfield._REFINE_TOL <= 1e-12
+    assert farfield._refine(fresh.solve, partial(fresh.matvec, A1, fpsi1), rhs, x) > 0
 
 
 def test_bordered_error_bar_is_richardson_on_the_2h_level(tmp_path):
