@@ -360,7 +360,8 @@ _REFINE_TOL = 1e-12
 
 def _refine(solve, apply, rhs, x):
     """Iterative refinement of x against apply(x) = rhs, each correction
-    solved by solve, the inverse of an earlier matrix.
+    solved by solve, the inverse of an earlier matrix; each row of x and
+    rhs is one system's solution and right-hand side.
 
     Returns the rounds taken once a correction falls to _REFINE_TOL
     relative, or 0 when the first correction is large, the corrections
@@ -371,8 +372,8 @@ def _refine(solve, apply, rhs, x):
     for rounds in range(1, _REFINE_ROUNDS + 1):
         dx = solve(rhs - apply(x))
         x += dx
-        size = float(np.max(np.linalg.norm(dx, axis=0)
-                            / np.linalg.norm(x, axis=0)))
+        size = float(np.max(np.linalg.norm(dx, axis=1)
+                            / np.linalg.norm(x, axis=1)))
         if not np.isfinite(size) or rounds == 1 and size > _REFINE_STALE:
             return 0
         if size <= _REFINE_TOL:
@@ -407,15 +408,17 @@ class _BorderedFactor:
         self.ell = weight * wz / (wz @ wz)
 
     def solve(self, rhs):
-        """M^-1 rhs, the columns of rhs stacked as [r; rho]."""
-        y = self.lu.solve(rhs[:-1])
-        s = self.ell @ y - rhs[-1]
-        return np.vstack([y - np.outer(self.z, s), s])
+        """M^-1 applied to each row [r; rho] of rhs."""
+        y = self.lu.solve(rhs[:, :-1].T).T
+        s = y @ self.ell - rhs[:, -1]
+        return np.hstack([y - s[:, None] * self.z, s[:, None]])
 
     def matvec(self, A, fpsi, x):
-        """[A, F_psi; l^T, 0] x for the given A and F_psi."""
-        return np.vstack([A @ x[:-1] + np.outer(fpsi, x[-1]),
-                          self.ell @ x[:-1]])
+        """[A, F_psi; l^T, 0] applied to each row of x, for the given A and
+        F_psi."""
+        w = x[:, :-1]
+        return np.hstack([(A @ w.T).T + x[:, -1:] * fpsi,
+                          (w @ self.ell)[:, None]])
 
 
 def _spacings(half_width: float, h: float) -> list[float]:
@@ -513,9 +516,10 @@ def _newton(p: ModelParams, spec: PartitionSpec, profiles: FarfieldProfiles,
         rm, _ = residual_F(w, psi - _GN_FD_PSI, spec, profiles, op)
         A = op.jacobian(v, psi, profiles.c_y(psi))
         fpsi = (rp - rm).ravel() / (2 * _GN_FD_PSI)
-        rhs = np.zeros((fpsi.size + 1, 2))
-        rhs[:-1, 0] = -r.ravel()
-        rhs[-1, 1] = 1.0
+        # the rows are the right-hand sides [-F; 0] and [0; 1]
+        rhs = np.zeros((2, fpsi.size + 1))
+        rhs[0, :-1] = -r.ravel()
+        rhs[1, -1] = 1.0
         rounds = 0
         if held is not None:
             x = held.solve(rhs)
@@ -526,8 +530,8 @@ def _newton(p: ModelParams, spec: PartitionSpec, profiles: FarfieldProfiles,
             held = None
             held = _BorderedFactor(A, fpsi, weight)
             x = held.solve(rhs)
-        # the columns [pw; s_p] and [qw; s_q]
-        (pw, qw), (s_p, s_q) = x[:-1].T, x[-1]
+        # the rows [pw; s_p] and [qw; s_q]
+        (pw, qw), (s_p, s_q) = x[:, :-1], x[:, -1]
         wq = weight * qw
         qq = float(wq @ wq)
         if not np.isfinite(qq) or qq == 0.0:

@@ -533,21 +533,21 @@ def test_bordered_solve_on_a_held_factor(two_levels):
     w1.data[1:-1, 1:-1] += (a - dpsi * b).reshape(op.shape)
     psi1 = psi0 + dpsi
     r1, A1, fpsi1 = _linearization(op, w1, psi1, p, profiles)
-    rhs = np.zeros((r1.size + 1, 2))
-    rhs[:-1, 0], rhs[-1, 1] = -r1, 1.0
+    rhs = np.zeros((2, r1.size + 1))
+    rhs[0, :-1], rhs[1, -1] = -r1, 1.0
 
     held = farfield._BorderedFactor(A0, fpsi0, weight)
     x = held.solve(rhs)
     assert farfield._refine(held.solve, partial(held.matvec, A1, fpsi1), rhs, x) > 0
     M = sp.bmat([[A1, fpsi1[:, None]], [held.ell[None, :], None]], format="csc")
-    want = spla.spsolve(M, rhs)
-    assert np.all(np.linalg.norm(x - want, axis=0)
-                  <= 1e-12 * np.linalg.norm(want, axis=0))
+    want = spla.spsolve(M, rhs.T).T
+    assert np.all(np.linalg.norm(x - want, axis=1)
+                  <= 1e-12 * np.linalg.norm(want, axis=1))
 
     # the step p + tau q is the least-squares step of fresh solves of A;
     # it cancels in p + tau q, so even spsolve's solution of M gives a
     # step 2e-12 away, relative
-    (pw, qw), (s_p, s_q) = x[:-1].T, x[-1]
+    (pw, qw), (s_p, s_q) = x[:, :-1], x[:, -1]
     a, b = spla.splu(A1).solve(np.column_stack([-r1, fpsi1])).T
     ww, wb, wq = (weight * f for f in (w1.data[1:-1, 1:-1].ravel(), b, qw))
     dpsi = float((ww + weight * a) @ wb) / (wb @ wb)
