@@ -418,8 +418,8 @@ def _run_bordered(cfg: ExperimentConfig, out: str, log):
     """The bordered solve; its history is each iteration's weighted
     residual and refinement rounds (0 where the iteration factored), one
     history per grid level: `bordered` the finest, `bordered_2h` the next
-    coarser, and so on.  The log counts iterations and factorizations per
-    level, coarsest first."""
+    coarser, and so on.  The log counts iterations, factorizations and
+    refinement rounds per level, coarsest first."""
     p = cfg.model_params()
     spec = farfield.PartitionSpec(R=cfg.bordered_R)
     cc = farfield.solve_bordered(p, spec, half_width=cfg.bordered_half_width,
@@ -434,9 +434,11 @@ def _run_bordered(cfg: ExperimentConfig, out: str, log):
     iterations = "+".join(str(level.iterations) for level in reversed(levels))
     factorizations = "+".join(str(sum(row[4] == 0 for row in level.history))
                               for level in reversed(levels))
+    rounds = "+".join(str(sum(row[4] for row in level.history))
+                      for level in reversed(levels))
     log(f"bordered: psi={cc.psi:+.8f} residual={cc.weighted_residual:.2e} "
         f"iterations={iterations} factorizations={factorizations} "
-        f"fill={cc.history[-1][3]}")
+        f"rounds={rounds} fill={cc.history[-1][3]}")
     return {}, histories
 
 

@@ -351,36 +351,44 @@ _COARSEST_H = 0.5
 _COARSE_STEP_TOL = 1e-3
 
 #: refinement on a held factor: the rounds it may take, the relative size
-#: of a first correction that marks the factor as stale, and the relative
-#: size of a correction that ends it
+#: of a first correction that marks the factor as stale, the least
+#: relative correction that ends it, and the forcing term: the relative
+#: accuracy a solve needs against the step it serves (inexact Newton,
+#: Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982)
 _REFINE_ROUNDS = 12
-_REFINE_STALE = 0.1
+_REFINE_STALE = 0.5
 _REFINE_TOL = 1e-12
+_REFINE_FORCING = 1e-3
 
 
-def _refine(solve, apply, rhs, x):
+def _refine(solve, apply, rhs, x, tol):
     """Iterative refinement of x against apply(x) = rhs, each correction
     solved by solve, the inverse of an earlier matrix; each row of x and
-    rhs is one system's solution and right-hand side.
+    rhs is one system's solution and right-hand side, and each row stops
+    once its correction falls to its own relative tolerance in tol (a
+    scalar serves every row).
 
-    Returns the rounds taken once a correction falls to _REFINE_TOL
-    relative, or 0 when the first correction is large, the corrections
-    stop halving above _REFINE_TOL, a value is not finite or the rounds
-    run out: then the earlier matrix must be factored anew.
+    Returns the rounds taken once every row has stopped, or 0 when a first
+    correction is above _REFINE_STALE, a row's corrections stop halving
+    above its tolerance, a value is not finite or the rounds run out: then
+    the earlier matrix must be factored anew.
     """
-    last = np.inf
+    tol = np.broadcast_to(tol, (len(x),))
+    active = np.ones(len(x), dtype=bool)
+    last = np.full(len(x), np.inf)
     for rounds in range(1, _REFINE_ROUNDS + 1):
-        dx = solve(rhs - apply(x))
-        x += dx
-        size = float(np.max(np.linalg.norm(dx, axis=1)
-                            / np.linalg.norm(x, axis=1)))
-        if not np.isfinite(size) or rounds == 1 and size > _REFINE_STALE:
+        dx = solve(rhs[active] - apply(x[active]))
+        x[active] += dx
+        size = np.linalg.norm(dx, axis=1) / np.linalg.norm(x[active], axis=1)
+        if not np.all(np.isfinite(size)) or rounds == 1 and size.max() > _REFINE_STALE:
             return 0
-        if size <= _REFINE_TOL:
+        done = size <= tol[active]
+        if np.any(~done & (size >= last[active] / 2)):  # a stall
+            return 0
+        last[active] = size
+        active[active] = ~done
+        if not active.any():
             return rounds
-        if size >= last / 2:  # no longer shrinking: a stall
-            return 0
-        last = size
     return 0
 
 
@@ -391,8 +399,9 @@ class _BorderedFactor:
     l = W^2 z / |W z|^2 with z = A^-1 F_psi, so l^T z = 1, and the solve of
     M [x; s] = [r; rho] is y = A^-1 r, s = l^T y - rho, x = y - s z.  A is
     nearly singular on the Dirichlet box (|z| is about 1e8 at L = 30) and
-    M is not, so solves on this factor refine to round-off against a later
-    M, the same l bordering a later A and F_psi (matvec).
+    M is not, so solves on this factor refine against a later M, the same
+    l bordering a later A and F_psi (matvec), to any accuracy down to
+    round-off.
     """
 
     def __init__(self, A, fpsi, weight):
@@ -449,9 +458,13 @@ def solve_bordered(p: ModelParams, spec: PartitionSpec, half_width: float,
     psi + s_p + tau s_q, for any l with l^T b != 0, and tau minimizes the
     weighted norm on it.  M is solved on the LU factor of A that an earlier
     iteration made (_BorderedFactor), refined against the current M (chord
-    Newton with refinement); A is factored anew on the first iteration and
-    whenever that refinement starts with a large correction or stalls
-    (_refine), so p and q always solve the current M.
+    Newton with refinement) only as far as the step needs (inexact Newton):
+    p to _REFINE_FORCING relative, since its error is a relative error of
+    this step that the next residual corrects, and q, started from the last
+    iteration's q, to _REFINE_FORCING times the last step but at least to
+    _REFINE_TOL, since its error moves tau and so psi's fixed point.  A is
+    factored anew on the first iteration and whenever that refinement
+    starts with a large correction or stalls (_refine).
 
     The iteration runs on nested grids of spacings h, 2h, ... (_spacings),
     coarsest first (nested iteration, Briggs, Henson and McCormick, *A
@@ -522,8 +535,12 @@ def _newton(p: ModelParams, spec: PartitionSpec, profiles: FarfieldProfiles,
         rhs[1, -1] = 1.0
         rounds = 0
         if held is not None:
-            x = held.solve(rhs)
-            rounds = _refine(held.solve, partial(held.matvec, A, fpsi), rhs, x)
+            # row p from the held factor, to a fraction of this step; row q
+            # from the last iteration's q, to that fraction of the last
+            # step, since q's error moves tau and so psi's fixed point
+            x = np.vstack([held.solve(rhs[:1]), x[1:]])
+            tol = [_REFINE_FORCING, max(_REFINE_TOL, _REFINE_FORCING * step)]
+            rounds = _refine(held.solve, partial(held.matvec, A, fpsi), rhs, x, tol)
         if not rounds:
             # drop the held factor (about 50 MB at L = 30, h = 0.25) before
             # the next is built, so that one factor at a time is resident

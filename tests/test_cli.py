@@ -434,7 +434,8 @@ def test_odd_node_count_sweeps_one_level(tmp_path):
 
 def test_bordered_manifest_records_refinement_history(tmp_path):
     # one residual:rounds entry per iteration and level, 0 rounds where it
-    # factored; h = 0.25 runs an h = 0.5 level first
+    # factored; h = 0.25 runs an h = 0.5 level first; the log line counts
+    # the iterations, factorizations and rounds of each level
     lines = []
     cfg = ExperimentConfig(mode="bordered", alpha=0.1, g_right=(1.0,),
                            bordered_half_width=12.0, bordered_h=0.25,
@@ -457,7 +458,9 @@ def test_bordered_manifest_records_refinement_history(tmp_path):
     assert len(rounds["bordered"]) == int(meta["iterations"])
     coarse, fine = rounds["bordered_2h"], rounds["bordered"]
     assert (f" iterations={len(coarse)}+{len(fine)} "
-            f"factorizations={coarse.count(0)}+{fine.count(0)} ") in lines[-1]
+            f"factorizations={coarse.count(0)}+{fine.count(0)} "
+            f"rounds={sum(coarse)}+{sum(fine)} ") in lines[-1]
+    assert sum(fine) > 0
 
 
 def test_measured_field_is_steady():

@@ -494,14 +494,75 @@ def two_levels():
 
 
 def test_bordered_factorizations_at_two_levels(two_levels):
-    # solves on the bordered matrix refine to round-off on a held factor:
-    # the h = 0.5 level factors 3 times in 4 iterations and the fine level
-    # once in 8 (4 and 4 where the refinement ran against A alone)
+    # solves on the bordered matrix refine on a held factor as far as each
+    # step needs: the h = 0.5 level factors twice in 4 iterations and the
+    # fine level once in 8 (3 and 1 while every solve refined to 1e-12,
+    # 4 and 4 where the refinement ran against A alone)
     _, cc = two_levels
     levels = (cc.coarse, cc)
     assert [level.iterations for level in levels] == [4, 8]
     assert [sum(row[4] == 0 for row in level.history)
-            for level in levels] == [3, 1]
+            for level in levels] == [2, 1]
+
+
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_bordered_inexact_solves_land_where_fresh_factors_land(alpha, monkeypatch):
+    # the fine level refines every later iteration on the factor made at
+    # its prolonged start, row p only to a fraction of the step; psi and
+    # the iteration counts are those of a fresh factor on every iteration
+    p = ModelParams(c_x=0.5, alpha=alpha, g_right=(1.0,))
+    held = solve_bordered(p, **TWO_LEVELS)
+    monkeypatch.setattr(farfield, "_REFINE_ROUNDS", 0)
+    fresh = solve_bordered(p, **TWO_LEVELS)
+    assert all(row[4] == 0 for cc in (fresh, fresh.coarse) for row in cc.history)
+    assert all(row[4] > 0 for row in held.history[1:])
+    assert [held.coarse.iterations, held.iterations] == [
+        fresh.coarse.iterations, fresh.iterations]
+    assert held.psi == pytest.approx(fresh.psi, rel=1e-13, abs=0.0)
+
+
+def _dense_refinement(spread):
+    """A matrix M, the inverse of M + spread E for a random E, two
+    right-hand sides as rows and their exact solutions."""
+    rng = np.random.default_rng(29)
+    n = 8
+    M = 4.0 * np.eye(n) + rng.standard_normal((n, n))
+    inv = np.linalg.inv(M + spread * rng.standard_normal((n, n)))
+    rhs = rng.standard_normal((2, n))
+    calls = []
+
+    def solve(r):
+        calls.append(len(r))
+        return r @ inv.T
+
+    return solve, (lambda x: x @ M.T), rhs, np.linalg.solve(M, rhs.T).T, calls
+
+
+def test_refine_stops_each_row_at_its_own_tolerance():
+    # row p stops at the forcing term while row q refines on, alone, to its
+    # own tolerance
+    solve, apply, rhs, want, calls = _dense_refinement(spread=0.03)
+    x = solve(rhs)
+    tol = [farfield._REFINE_FORCING, farfield._REFINE_TOL]
+    rounds = farfield._refine(solve, apply, rhs, x, tol)
+    assert 0 < rounds == len(calls) - 1
+    assert calls[1] == 2 and calls[-1] == 1
+    err = np.linalg.norm(x - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert 1e-10 < err[0] <= farfield._REFINE_FORCING
+    assert err[1] <= 10 * farfield._REFINE_TOL
+
+
+def test_refine_gives_up_on_a_stale_or_non_finite_solve():
+    # a first correction above _REFINE_STALE relative returns 0, as does a
+    # value that is not finite, whatever the tolerances
+    solve, apply, rhs, _, calls = _dense_refinement(spread=3.0)
+    x = solve(rhs)
+    assert farfield._refine(solve, apply, rhs, x, 1e-3) == 0
+    assert len(calls) == 2
+    solve, apply, rhs, _, _ = _dense_refinement(spread=0.03)
+    x = solve(rhs)
+    x[1, 0] = np.nan
+    assert farfield._refine(solve, apply, rhs, x, [1e-3, 1.0]) == 0
 
 
 def _linearization(op, w, psi, p, profiles):
@@ -538,7 +599,8 @@ def test_bordered_solve_on_a_held_factor(two_levels):
 
     held = farfield._BorderedFactor(A0, fpsi0, weight)
     x = held.solve(rhs)
-    assert farfield._refine(held.solve, partial(held.matvec, A1, fpsi1), rhs, x) > 0
+    assert farfield._refine(held.solve, partial(held.matvec, A1, fpsi1), rhs, x,
+                            farfield._REFINE_TOL) > 0
     M = sp.bmat([[A1, fpsi1[:, None]], [held.ell[None, :], None]], format="csc")
     want = spla.spsolve(M, rhs.T).T
     assert np.all(np.linalg.norm(x - want, axis=1)
@@ -561,7 +623,8 @@ def test_bordered_solve_on_a_held_factor(two_levels):
     fresh = farfield._BorderedFactor(A1, fpsi1, weight)
     x = fresh.solve(rhs)
     assert farfield._REFINE_TOL <= 1e-12
-    assert farfield._refine(fresh.solve, partial(fresh.matvec, A1, fpsi1), rhs, x) > 0
+    assert farfield._refine(fresh.solve, partial(fresh.matvec, A1, fpsi1), rhs, x,
+                            farfield._REFINE_TOL) > 0
 
 
 def test_bordered_error_bar_is_richardson_on_the_2h_level(tmp_path):
